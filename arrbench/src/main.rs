@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release --manifest-path arrbench/Cargo.toml -- \
 //!     --apply-rps community_serve=1200,catalog_churn=500,durable_recover=600,paper_solve=700 \
-//!     --read-rps 2000 --workload community_serve --seed 1 --seconds 26 --trace 0
+//!     --workload community_serve --seed 1 --seconds 26 --trace 0
 //! ```
 //!
 //! One run generates the workload's inputs from the seed, serves them over
@@ -36,7 +36,7 @@ use std::time::Instant;
 use workload::{build_engine, Inputs, Spec};
 
 const USAGE: &str = "usage: arrbench --workload NAME --seed N --seconds S --trace 0|1 \
---apply-rps NAME=RATE[,NAME=RATE...] --read-rps RATE";
+--apply-rps NAME=RATE[,NAME=RATE...]";
 
 /// `recover()` calls after each serving segment; `recover_s` is the
 /// median over all of them.
@@ -45,6 +45,11 @@ const RECOVERS_PER_SEGMENT: usize = 4;
 /// samples are pooled, which evens out what one server instance's thread
 /// placement does to the figures.
 const SEGMENTS: usize = 4;
+/// Set-ups timed in a plain loop after each serving segment, each shut
+/// down unused; `setup_s` is the median of these and the segments' own.
+const EXTRA_SETUPS_PER_SEGMENT: usize = 3;
+/// Offered rate of the reader connection (reads/s).
+const READ_RPS: f64 = 2000.0;
 /// Share of the serving window spent open loop; the saturating phase gets
 /// as many applies as twice the offered rate delivers in a quarter of it.
 const OPEN_SHARE: f64 = 0.6;
@@ -60,7 +65,6 @@ struct Args {
     seconds: f64,
     trace: bool,
     apply_rps: BTreeMap<String, f64>,
-    read_rps: f64,
 }
 
 fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
@@ -87,11 +91,10 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             .ok_or(format!("bad --apply-rps entry: {pair}"))?;
         apply_rps.insert(name.to_string(), num("--apply-rps", rate.to_string())?);
     }
-    let read_rps = num("--read-rps", take("--read-rps")?)?;
     if let Some(extra) = flags.keys().next() {
         return Err(format!("unknown flag {extra}"));
     }
-    if !(seconds > 0.0 && read_rps > 0.0) || apply_rps.values().any(|r| *r <= 0.0) {
+    if seconds <= 0.0 || apply_rps.values().any(|r| *r <= 0.0) {
         return Err("seconds and rates must be positive".into());
     }
     Ok(Args {
@@ -100,7 +103,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         seconds,
         trace,
         apply_rps,
-        read_rps,
     })
 }
 
@@ -366,54 +368,59 @@ impl Ctx {
 /// Set-up: generation, engine build with its initial solve, server start.
 struct Setup {
     server: ServerHandle<ShardedEngine>,
-    /// The kept server's write-ahead log (durable workloads).
-    wal: PathBuf,
     deltas: Vec<InstanceDelta>,
     reads: Vec<EngineQuery>,
-    /// Wall time of every set-up; the last one's server is kept.
-    setup_s: Vec<f64>,
+    /// Wall time of the set-up (s).
+    setup_s: f64,
 }
 
-/// Sets up `reps` times and keeps the last server.
-fn set_up(ctx: &Ctx, segment: usize, reps: usize, tracer: &mut Tracer) -> Result<Setup, String> {
-    let mut kept: Option<Setup> = None;
-    let mut setup_s = Vec::new();
-    for rep in 0..reps {
-        let wal = ctx.work.join(format!("served-wal-{segment}-{rep}"));
-        if ctx.spec.durable {
-            fresh_dir(&wal)?;
-        }
-        let start = Instant::now();
-        let inputs = ctx.generate(tracer);
-        let build = tracer.enter("coordinator.build", 0);
-        let engine = build_engine(inputs.instance, ctx.seed);
-        let server = start_server(engine, ctx.spec.durable.then_some(wal.as_path()))?;
-        tracer.exit(build);
-        setup_s.push(secs(start));
-        if let Some(old) = kept.take() {
-            old.server
-                .shutdown()
-                .map_err(io_err("shut down a set-up server"))?;
-        }
-        kept = Some(Setup {
-            server,
-            wal,
-            deltas: inputs.deltas,
-            reads: inputs.reads,
-            setup_s: Vec::new(),
-        });
+/// Sets up one server; a durable one logs to a fresh `wal` directory.
+fn set_up(ctx: &Ctx, wal: &Path, tracer: &mut Tracer) -> Result<Setup, String> {
+    if ctx.spec.durable {
+        fresh_dir(wal)?;
     }
-    let mut setup = kept.ok_or("no set-up ran")?;
-    setup.setup_s = setup_s;
-    Ok(setup)
+    let start = Instant::now();
+    let inputs = ctx.generate(tracer);
+    let build = tracer.enter("coordinator.build", 0);
+    let engine = build_engine(inputs.instance, ctx.seed);
+    let server = start_server(engine, ctx.spec.durable.then_some(wal))?;
+    tracer.exit(build);
+    Ok(Setup {
+        server,
+        deltas: inputs.deltas,
+        reads: inputs.reads,
+        setup_s: secs(start),
+    })
+}
+
+/// `EXTRA_SETUPS_PER_SEGMENT` set-ups, one after the other, each checked
+/// against `inputs` and shut down unused.
+fn extra_setups(ctx: &Ctx, inputs: &Inputs, r: &mut Report) -> Result<Vec<f64>, String> {
+    let mut setup_s = Vec::new();
+    for rep in 0..EXTRA_SETUPS_PER_SEGMENT {
+        let wal = ctx.work.join(format!("setup-wal-{rep}"));
+        let setup = set_up(ctx, &wal, &mut Tracer::new(false))?;
+        r.check(
+            "set-up inputs match the regenerated ones",
+            setup.deltas == inputs.deltas && setup.reads == inputs.reads,
+        );
+        setup
+            .server
+            .shutdown()
+            .map_err(io_err("shut down a set-up server"))?;
+        setup_s.push(setup.setup_s);
+    }
+    Ok(setup_s)
 }
 
 /// Everything the serving segments measured.
 #[derive(Default)]
 struct Segments {
     served: served::Served,
+    /// Every set-up's wall time (s): the segments' and the extra ones.
     setup_s: Vec<f64>,
-    /// Peak RSS through the first set-up and serving segment (MB).
+    /// Peak RSS through the first segment: set-up, serving, recovery and
+    /// its LP solves (MB).
     rss_mb: f64,
     recover_s: Vec<f64>,
     /// LP-packing solves, ms, and (on `paper_solve`) their utilities.
@@ -425,7 +432,7 @@ struct Segments {
 /// segment it checks the shut-down engine, times `recover()` of the
 /// segment's restart point and, spread over the segments so that a slow
 /// spell of the host touches only part of them, the LP solves of `lp_set`
-/// behind `solve_p50_ms`.
+/// behind `solve_p50_ms` and (untraced) extra set-ups behind `setup_s`.
 fn serve_segments(
     ctx: &Ctx,
     inputs: &Inputs,
@@ -439,12 +446,9 @@ fn serve_segments(
     let mut out = Segments::default();
     let mut utilities = Vec::new();
     for segment in 0..segments {
-        // The first segment has a single set-up, so the RSS peak read after
-        // it holds one engine's lifetime; the others add the extra set-ups
-        // behind `setup_s`.
-        let reps = if trace || segment == 0 { 1 } else { 2 };
-        let setup = set_up(ctx, segment, reps, tracer)?;
-        out.setup_s.extend(&setup.setup_s);
+        let wal = ctx.work.join(format!("served-wal-{segment}"));
+        let setup = set_up(ctx, &wal, tracer)?;
+        out.setup_s.push(setup.setup_s);
         r.check(
             "set-up inputs match the regenerated ones",
             setup.deltas == inputs.deltas && setup.reads == inputs.reads,
@@ -459,9 +463,6 @@ fn serve_segments(
             ctx.spec.durable,
         )?;
         let mut engine = setup.server.shutdown().map_err(io_err("server shutdown"))?;
-        if segment == 0 {
-            out.rss_mb = rss_peak_mb()?;
-        }
         r.check(
             "zero rejected trace deltas",
             served.open.failed + served.saturating.failed == 0,
@@ -501,7 +502,7 @@ fn serve_segments(
         // The restart point: the served log, or (without a log) a
         // checkpoint of the shut-down state.
         let restart = if ctx.spec.durable {
-            setup.wal
+            wal
         } else {
             let dir = ctx.work.join(format!("checkpoint-{segment}"));
             fresh_dir(&dir)?;
@@ -544,6 +545,15 @@ fn serve_segments(
             out.lp_utility.push(arrangement.utility_value(instance));
             r.attempted += 1;
         }
+        if segment == 0 {
+            // Only one engine has lived so far, so the peak holds a single
+            // engine's lifetime plus the segment's recoveries and LP solves.
+            out.rss_mb = rss_peak_mb()?;
+        }
+        // More set-up samples, spread over the run like the LP solves.
+        if !trace {
+            out.setup_s.extend(extra_setups(ctx, inputs, r)?);
+        }
     }
     r.check(
         "every segment served a bit-equal utility",
@@ -559,7 +569,7 @@ fn run(args: &Args) -> Result<Report, String> {
         .apply_rps
         .get(spec.name)
         .ok_or(format!("no --apply-rps rate for {}", spec.name))?;
-    let plan = Plan::new(&spec, apply_rate, args.read_rps, args.seconds);
+    let plan = Plan::new(&spec, apply_rate, READ_RPS, args.seconds);
     let work = PathBuf::from(".bench_out").join(format!(
         "{}-{}-{}",
         spec.name,
@@ -657,7 +667,11 @@ fn measure(ctx: &Ctx, trace: bool) -> Result<Report, String> {
             "setup_s",
             median(&seg.setup_s),
             "s",
-            format!("median of {} set-ups", seg.setup_s.len()),
+            format!(
+                "median of {} set-ups, {} of them shut down unused",
+                seg.setup_s.len(),
+                seg.setup_s.len() - segments
+            ),
         );
         let reads = Summary::windowed(&served.reads.latency_us);
         r.metric(
@@ -697,7 +711,7 @@ fn measure(ctx: &Ctx, trace: bool) -> Result<Report, String> {
             "rss_peak_mb",
             seg.rss_mb,
             "MB",
-            "VmHWM after the first set-up and serving segment".into(),
+            "VmHWM after the first segment: set-up, serving, recovery, LP solves".into(),
         );
     }
     let frac = r.failed as f64 / r.attempted.max(1) as f64;
