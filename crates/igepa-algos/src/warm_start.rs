@@ -78,9 +78,26 @@ pub fn admit_greedily_with(
     instance: &Instance,
     arrangement: &mut Arrangement,
     candidates: impl IntoIterator<Item = (EventId, UserId)>,
-    on_admit: impl FnMut(EventId, UserId),
+    mut on_admit: impl FnMut(EventId, UserId),
 ) -> usize {
-    crate::repair::admit_greedily_in(instance, arrangement, candidates, on_admit)
+    let mut pairs: Vec<(f64, EventId, UserId)> = candidates
+        .into_iter()
+        .map(|(v, u)| (instance.weight(v, u), v, u))
+        .collect();
+    pairs.sort_by(|a, b| {
+        b.0.partial_cmp(&a.0)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
+    });
+    let mut added = 0;
+    for (_, v, u) in pairs {
+        if can_assign(instance, arrangement, v, u) {
+            arrangement.assign(v, u);
+            on_admit(v, u);
+            added += 1;
+        }
+    }
+    added
 }
 
 /// Extracts the pairs of `previous` that remain feasible for `instance`,
@@ -107,7 +124,22 @@ pub fn can_assign(
     event: EventId,
     user: UserId,
 ) -> bool {
-    crate::repair::can_assign_in(instance, arrangement, event, user)
+    if !instance.user(user).has_bid(event) {
+        return false;
+    }
+    if arrangement.load_of(event) >= instance.event(event).capacity {
+        return false;
+    }
+    let current = arrangement.events_of(user);
+    if current.len() >= instance.user(user).capacity {
+        return false;
+    }
+    if arrangement.contains(event, user) {
+        return false;
+    }
+    !current
+        .iter()
+        .any(|&w| instance.conflicts().conflicts(w, event))
 }
 
 impl WarmStart for GreedyArrangement {

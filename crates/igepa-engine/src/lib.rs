@@ -60,7 +60,7 @@
 //!
 //! ## The O(changed) apply path
 //!
-//! Two mechanisms keep per-apply work proportional to what the apply
+//! Two choices keep per-apply work proportional to what the apply
 //! *changed*, not to the size of the shard:
 //!
 //! * **Diff-shipped cache views.** The transport's query cache used to
@@ -78,30 +78,10 @@
 //!   diff installs are two orders of magnitude cheaper than
 //!   `clone_from` at 100k users.
 //!
-//! * **Component-parallel intra-shard repair.** A dirty set usually
-//!   decomposes: two dirty users whose bid sets share no event (and
-//!   collide with no common attendee) cannot influence each other's
-//!   repair. [`Shard`] builds the *repair-interference graph* over the
-//!   dirty entities (dirty user → its bids and current events; dirty
-//!   event → its bidders and attendees; attendees → their bids), splits
-//!   it into connected components with `igepa-graph`'s epoch-stamped
-//!   `DenseInterner` + `DenseDisjointSets` (O(changed) with no
-//!   per-repair allocation churn), and patches each component in its
-//!   own sandbox ([`igepa_algos::ComponentState`] over a shared
-//!   [`igepa_algos::ComponentSlots`] slot table) on the vendored
-//!   `scoped-pool` fork-join helper. Sandboxed ops replay onto the real
-//!   arrangement in component order, and because every utility read
-//!   sums through [`igepa_core::ExactSum`] — order-independent by
-//!   construction — the result is **bit-identical for any thread
-//!   count** (proptested at 1/2/4 threads in CI).
-//!
-//! The knob is [`EngineConfig::repair_threads`]. It defaults to `1`,
-//! which keeps the original serial `patch_region` path and lets legacy
-//! configs (which predate the field) deserialize into identical
-//! behaviour. Any value `> 1` enables the component split; actual
-//! spawns are clamped to the host's available parallelism, so
-//! oversubscribed settings cost nothing but still exercise the same
-//! deterministic code path.
+//! * **Serial intra-shard repair.** Repair within a shard is one serial
+//!   `patch_region` pass over the dirty set; parallelism comes from the
+//!   per-shard workers. A component-parallel split inside the shard
+//!   measured 0.72–0.99× of serial speed, so it was removed.
 //!
 //! The last solver-side gap is closed in `igepa-lp`: the exact simplex
 //! backend accepts a crash *basis* from a previous solve

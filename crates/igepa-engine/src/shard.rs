@@ -12,14 +12,12 @@
 //! between shards (see [`crate::reconcile`]).
 
 use crate::catalog::CatalogSnapshot;
-use igepa_algos::{patch_region, ComponentSlots, ComponentState, PatchOps, WarmStart};
+use igepa_algos::{patch_region, WarmStart};
 use igepa_core::{
     Arrangement, ArrangementDiff, CapacityTarget, ConflictFn, CoreError, DeltaEffect, DirtySet,
     EventId, Instance, InstanceDelta, InterestFn, UserId, UtilityBreakdown, UtilityTracker,
 };
-use igepa_graph::{DenseDisjointSets, DenseInterner};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Shared, thread-safe conflict-function handle. Shards are owned by
@@ -212,17 +210,6 @@ pub struct EngineConfig {
     /// durability enabled (ignored otherwise). See [`DurabilityPolicy`]
     /// for the loss window each point of the spectrum accepts.
     pub durability: DurabilityPolicy,
-    /// Worker threads for intra-shard repair: when greater than 1 and the
-    /// dirty set splits into several independent components of the
-    /// repair-interference graph, components are repaired concurrently on
-    /// a scoped pool of up to this many threads (spawns are further
-    /// clamped to the host's available parallelism; on a single-core
-    /// host the split still runs but components repair inline, so set 1
-    /// to skip the split entirely). Exact summation makes the result
-    /// bit-identical to the serial pass regardless of thread count.
-    /// Default 1 (serial), so configs serialized before the knob existed
-    /// deserialize and behave identically.
-    pub repair_threads: usize,
     /// Admission control of the serving dispatch queue (see
     /// [`AdmissionPolicy`]). Ignored by in-process engines; the TCP
     /// transport enforces it at the connection threads. Default
@@ -241,7 +228,6 @@ impl Default for EngineConfig {
             batch_policy: BatchPolicy::Escalation,
             online_cost_calibration: false,
             durability: DurabilityPolicy::Off,
-            repair_threads: 1,
             admission: AdmissionPolicy::Unbounded,
         }
     }
@@ -288,10 +274,6 @@ impl serde::Deserialize for EngineConfig {
             durability: match entries.iter().find(|(name, _)| name == "durability") {
                 Some((_, policy)) => serde::Deserialize::from_value(policy)?,
                 None => DurabilityPolicy::default(),
-            },
-            repair_threads: match entries.iter().find(|(name, _)| name == "repair_threads") {
-                Some((_, threads)) => serde::Deserialize::from_value(threads)?,
-                None => 1,
             },
             admission: match entries.iter().find(|(name, _)| name == "admission") {
                 Some((_, policy)) => serde::Deserialize::from_value(policy)?,
@@ -481,14 +463,6 @@ pub struct Shard {
     /// [`Shard::apply_quotas`] so the reconciler can restrict its next
     /// round to events those users bid on.
     last_repair_admitted: Option<Vec<UserId>>,
-    /// Reusable scratch of the component-parallel repair path: interns
-    /// interference-graph node keys to dense union-find ids. Epoch-reset
-    /// per repair, so the split stays O(changed) per round.
-    node_interner: DenseInterner,
-    /// Reusable scratch of the component-parallel repair path: dense
-    /// slot tables giving every [`ComponentState`] sandbox O(1) global
-    /// id → local row lookups on the repair hot path.
-    component_slots: ComponentSlots,
 }
 
 /// EWMA smoothing factor of the online cost estimates: heavy enough to
@@ -526,8 +500,6 @@ impl Shard {
             ewma_solve_ns: None,
             view_ops: None,
             last_repair_admitted: None,
-            node_interner: DenseInterner::default(),
-            component_slots: ComponentSlots::default(),
         };
         shard.arrangement = shard.next_solve(None);
         shard.tracker = UtilityTracker::rebuild(&shard.instance, &shard.arrangement);
@@ -567,8 +539,6 @@ impl Shard {
             ewma_solve_ns: None,
             view_ops: None,
             last_repair_admitted: None,
-            node_interner: DenseInterner::default(),
-            component_slots: ComponentSlots::default(),
         }
     }
 
@@ -1080,26 +1050,20 @@ impl Shard {
     /// Local repair: prune dirty users' assignments, evict overflow at
     /// dirty events, then greedily re-admit the heaviest feasible
     /// candidate pairs around the dirty set — the shared
-    /// [`patch_region`] kernel, run serially on the arrangement or
-    /// split into independent components repaired concurrently (see
-    /// [`Shard::patch_components`]). The recorded ops then drive the
-    /// utility tracker and the view-diff recorder; exact summation makes
-    /// the post-hoc tracker replay bit-identical to inline tracking, so
+    /// [`patch_region`] kernel. The recorded ops then drive the utility
+    /// tracker and the view-diff recorder; exact summation makes the
+    /// post-hoc tracker replay bit-identical to inline tracking, so
     /// scoring stays O(changed pairs) and no post-repair re-scan is ever
     /// needed.
     fn greedy_patch(&mut self) -> RepairKind {
         let dirty_users: Vec<UserId> = self.dirty.users.iter().copied().collect();
         let dirty_events: Vec<EventId> = self.dirty.events.iter().copied().collect();
-        let ops = if self.config.repair_threads > 1 {
-            self.patch_components(&dirty_users, &dirty_events)
-        } else {
-            patch_region(
-                &self.instance,
-                &mut self.arrangement,
-                &dirty_users,
-                &dirty_events,
-            )
-        };
+        let ops = patch_region(
+            &self.instance,
+            &mut self.arrangement,
+            &dirty_users,
+            &dirty_events,
+        );
 
         for &(v, u) in &ops.removed {
             self.tracker.on_unassign(&self.instance, v, u);
@@ -1129,167 +1093,6 @@ impl Shard {
                 added: ops.added.len(),
             }
         }
-    }
-
-    /// Splits the dirty set into independent connected components of the
-    /// repair-interference graph and repairs them concurrently, each in
-    /// an extracted [`ComponentState`] sandbox, replaying the merged ops
-    /// onto the real arrangement.
-    ///
-    /// Two entities interfere when one repair step can touch both: a
-    /// dirty user with their bids and current events, a dirty event with
-    /// its bidders and attendees, and each attendee of a dirty event
-    /// with their own bids (eviction may re-seat them anywhere they
-    /// bid). Components of this graph read and write disjoint rows, so
-    /// per-component repair reproduces the serial pass exactly — the
-    /// serial candidate ordering restricted to a component preserves
-    /// relative order, and cross-component candidates share no
-    /// feasibility state. Components are merged in ascending order of
-    /// their smallest member, keeping the recorded op list deterministic.
-    fn patch_components(&mut self, dirty_users: &[UserId], dirty_events: &[EventId]) -> PatchOps {
-        // Node keys: users as 2k, events as 2k + 1. Keys are interned to
-        // dense union-find ids as the graph is traversed, so the split
-        // never pays a per-edge key lookup.
-        fn user_key(u: UserId) -> usize {
-            u.index() << 1
-        }
-        fn event_key(v: EventId) -> usize {
-            (v.index() << 1) | 1
-        }
-        fn intern(interner: &mut DenseInterner, keys: &mut Vec<usize>, key: usize) -> u32 {
-            let before = interner.len();
-            let id = interner.intern(key);
-            if interner.len() != before {
-                keys.push(key);
-            }
-            id
-        }
-
-        let instance = &self.instance;
-        let arrangement = &self.arrangement;
-        let interner = &mut self.node_interner;
-        interner.begin(2 * instance.num_users().max(instance.num_events()));
-        // Original key per dense id, in discovery order.
-        let mut keys: Vec<usize> = Vec::new();
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for &u in dirty_users {
-            let a = intern(interner, &mut keys, user_key(u));
-            for &v in &instance.user(u).bids {
-                edges.push((a, intern(interner, &mut keys, event_key(v))));
-            }
-            for &v in arrangement.events_of(u) {
-                edges.push((a, intern(interner, &mut keys, event_key(v))));
-            }
-        }
-        for &v in dirty_events {
-            let a = intern(interner, &mut keys, event_key(v));
-            for &u in &instance.event(v).bidders {
-                edges.push((a, intern(interner, &mut keys, user_key(u))));
-            }
-            for &u in arrangement.users_of(v) {
-                let b = intern(interner, &mut keys, user_key(u));
-                edges.push((a, b));
-                for &w in &instance.user(u).bids {
-                    edges.push((b, intern(interner, &mut keys, event_key(w))));
-                }
-            }
-        }
-        let mut sets = DenseDisjointSets::new(keys.len());
-        for &(a, b) in &edges {
-            sets.union(a, b);
-        }
-        let dense_components = sets.components();
-        if dense_components.len() < 2 {
-            return patch_region(
-                &self.instance,
-                &mut self.arrangement,
-                dirty_users,
-                dirty_events,
-            );
-        }
-
-        // Map dense ids back to keys and restore the deterministic
-        // ordering contract: members ascending, components by smallest
-        // member.
-        let mut components: Vec<Vec<usize>> = dense_components
-            .into_iter()
-            .map(|c| {
-                let mut members: Vec<usize> = c.into_iter().map(|i| keys[i as usize]).collect();
-                members.sort_unstable();
-                members
-            })
-            .collect();
-        components.sort_unstable_by_key(|c| c[0]);
-
-        let dirty_user_set: BTreeSet<UserId> = dirty_users.iter().copied().collect();
-        let dirty_event_set: BTreeSet<EventId> = dirty_events.iter().copied().collect();
-        let slots = &mut self.component_slots;
-        slots.begin(instance.num_events(), instance.num_users());
-        // (users, events, dirty users, dirty events) per component; row
-        // extraction happens inside the parallel jobs, which only borrow
-        // the arrangement and the slot tables.
-        let mut regions: Vec<(Vec<UserId>, Vec<EventId>, Vec<UserId>, Vec<EventId>)> =
-            Vec::with_capacity(components.len());
-        for component in &components {
-            let mut users: Vec<UserId> = Vec::new();
-            let mut events: Vec<EventId> = Vec::new();
-            for &key in component {
-                if key & 1 == 0 {
-                    users.push(UserId::new(key >> 1));
-                } else {
-                    events.push(EventId::new(key >> 1));
-                }
-            }
-            let component_users: Vec<UserId> = users
-                .iter()
-                .copied()
-                .filter(|u| dirty_user_set.contains(u))
-                .collect();
-            let component_events: Vec<EventId> = events
-                .iter()
-                .copied()
-                .filter(|v| dirty_event_set.contains(v))
-                .collect();
-            if component_users.is_empty() && component_events.is_empty() {
-                continue;
-            }
-            for &u in &users {
-                slots.push_user(u);
-            }
-            for &v in &events {
-                slots.push_event(v);
-            }
-            regions.push((users, events, component_users, component_events));
-        }
-        let slots = &self.component_slots;
-        let jobs: Vec<_> = regions
-            .into_iter()
-            .map(|(users, events, component_users, component_events)| {
-                move || {
-                    let mut state = ComponentState::extract(
-                        arrangement,
-                        slots,
-                        &users,
-                        &events,
-                        &component_events,
-                    );
-                    patch_region(instance, &mut state, &component_users, &component_events)
-                }
-            })
-            .collect();
-        let mut ops = PatchOps::default();
-        for component_ops in scoped_pool::run_scoped(self.config.repair_threads, jobs) {
-            ops.extend(component_ops);
-        }
-        for &(v, u) in &ops.removed {
-            let was_present = self.arrangement.unassign(v, u);
-            debug_assert!(was_present, "component removed a pair the shard lacks");
-        }
-        for &(v, u) in &ops.added {
-            let was_absent = self.arrangement.assign(v, u);
-            debug_assert!(was_absent, "component added a pair the shard already holds");
-        }
-        ops
     }
 
     /// Runs the staleness check when at least
@@ -1469,23 +1272,27 @@ mod tests {
     #[test]
     fn pre_batch_policy_configs_still_deserialize() {
         // A config serialized before `batch_policy` existed: the missing
-        // field defaults instead of failing.
+        // field defaults instead of failing. Configs written while the
+        // since-removed `repair_threads` knob existed carry it; the key
+        // is ignored, whatever its value.
         let legacy = "{\"seed\":7,\"escalation_fraction\":0.25,\
-                      \"staleness_check_interval\":256,\"max_staleness\":0.05}";
-        let config: EngineConfig = serde_json::from_str(legacy).unwrap();
+                      \"staleness_check_interval\":256,\"max_staleness\":0.05";
+        let config: EngineConfig = serde_json::from_str(&format!("{legacy}}}")).unwrap();
+        for tail in [",\"repair_threads\":1}", ",\"repair_threads\":4}"] {
+            let payload = format!("{legacy}{tail}");
+            let decoded: EngineConfig = serde_json::from_str(&payload).unwrap();
+            assert_eq!(decoded, config, "{payload}");
+        }
         assert_eq!(config.seed, 7);
         assert_eq!(config.batch_policy, BatchPolicy::Escalation);
         assert!(!config.online_cost_calibration);
         assert_eq!(config.durability, DurabilityPolicy::Off);
-        // Configs from before the repair-threads knob behave serially.
-        assert_eq!(config.repair_threads, 1);
         // Configs from before admission control behave unbounded.
         assert_eq!(config.admission, AdmissionPolicy::Unbounded);
         // And the current format round-trips.
         let current = EngineConfig {
             batch_policy: BatchPolicy::cost_model(),
             durability: DurabilityPolicy::EveryN { n: 16 },
-            repair_threads: 4,
             admission: AdmissionPolicy::bounded(128),
             ..EngineConfig::default()
         };
@@ -1497,27 +1304,30 @@ mod tests {
     #[test]
     fn legacy_config_without_admission_is_bit_identical_to_default() {
         // Regression pin for the admission rollout: a config serialized
-        // by a pre-admission build (every field up to `repair_threads`,
-        // no `admission` key) must decode to a config whose behaviour —
-        // and whose re-serialization — is bit-identical to constructing
-        // the same config today with the default (unbounded) admission.
+        // by a pre-admission build (no `admission` key, with or without
+        // the since-removed `repair_threads` key) must decode to a config
+        // whose behaviour — and whose re-serialization — is
+        // bit-identical to constructing the same config today with the
+        // default (unbounded) admission.
         let pre_admission = "{\"seed\":3,\"escalation_fraction\":0.25,\
                              \"staleness_check_interval\":256,\"max_staleness\":0.05,\
                              \"batch_policy\":\"Escalation\",\
                              \"online_cost_calibration\":false,\
-                             \"durability\":\"Off\",\"repair_threads\":2}";
-        let decoded: EngineConfig = serde_json::from_str(pre_admission).unwrap();
+                             \"durability\":\"Off\"";
         let expected = EngineConfig {
             seed: 3,
-            repair_threads: 2,
             ..EngineConfig::default()
         };
-        assert_eq!(decoded, expected);
-        assert_eq!(decoded.admission, AdmissionPolicy::Unbounded);
-        assert_eq!(
-            serde_json::to_string(&decoded).unwrap(),
-            serde_json::to_string(&expected).unwrap()
-        );
+        for tail in ["}", ",\"repair_threads\":1}", ",\"repair_threads\":4}"] {
+            let payload = format!("{pre_admission}{tail}");
+            let decoded: EngineConfig = serde_json::from_str(&payload).unwrap();
+            assert_eq!(decoded, expected, "{payload}");
+            assert_eq!(decoded.admission, AdmissionPolicy::Unbounded);
+            assert_eq!(
+                serde_json::to_string(&decoded).unwrap(),
+                serde_json::to_string(&expected).unwrap()
+            );
+        }
     }
 
     #[test]

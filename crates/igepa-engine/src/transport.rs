@@ -41,9 +41,10 @@
 //! installs it in a shared `QueryCache` — together with the
 //! coordinator's user→shard owner table — *before* acking the apply, and
 //! connection threads answer straight from that cache (`EventLoad`
-//! merges the per-shard loads right there; `MergedSnapshot` rebuilds the
-//! global pair list through the owner table and absorbs the per-shard
-//! trackers for an *exact* merged utility, falling back to the
+//! merges the per-shard loads right there; `Utility` and
+//! `MergedSnapshot` absorb the per-shard trackers for an *exact* merged
+//! utility, and `MergedSnapshot` rebuilds the global pair list through
+//! the owner table, falling back to the
 //! dispatch-queue barrier only when an owner row is newer than its
 //! shard's view). A reader therefore cannot stall the repair path, and a
 //! client that has seen an apply ack can never be served the pre-apply
@@ -645,6 +646,23 @@ struct CacheInner {
     migrations: Vec<(u64, u64)>,
 }
 
+impl CacheInner {
+    /// The merged utility: a fresh [`UtilityTracker`] absorbing every
+    /// view's tracker. [`UtilityTracker::absorb`] is exact and
+    /// partition-independent, so this equals the serial backend's
+    /// `ShardedEngine::merged_utility` bit for bit.
+    fn merged_utility(&self) -> UtilityBreakdown {
+        let mut tracker = UtilityTracker::new();
+        for view in &self.views {
+            tracker.absorb(&view.tracker);
+        }
+        // An engine always has at least one shard; with none, every sum
+        // is zero whatever β is.
+        let beta = self.views.first().map_or(0.0, |view| view.breakdown.beta);
+        tracker.breakdown(beta)
+    }
+}
+
 impl QueryCache {
     /// Read-locks the cache, recovering a poisoned guard. A poisoned
     /// cache means some thread panicked while holding the lock — the
@@ -763,7 +781,7 @@ impl QueryCache {
     }
 
     /// Answers one cacheable query, reproducing the serial service's
-    /// semantics bit for bit: same shard order, same float summation,
+    /// semantics bit for bit: same shard order, same exact utility merge,
     /// same rejected-delta attribution for the aggregates, and the same
     /// dialect split for the per-entity reads (`strict` selects typed
     /// `NotFound` over the legacy silent `[]` / `(0, 0)` answers).
@@ -781,21 +799,11 @@ impl QueryCache {
         let inner = self.read_inner();
         match query {
             EngineQuery::Utility => {
-                let mut total = 0.0;
-                let mut interest_sum = 0.0;
-                let mut interaction_sum = 0.0;
-                for view in &inner.views {
-                    // lint:allow(no-raw-float-accum): reproduces the serial backend's shard-order plain summation bit for bit
-                    total += view.breakdown.total;
-                    // lint:allow(no-raw-float-accum): same serial-semantics pin as the total above
-                    interest_sum += view.breakdown.interest_sum;
-                    // lint:allow(no-raw-float-accum): same serial-semantics pin as the total above
-                    interaction_sum += view.breakdown.interaction_sum;
-                }
+                let breakdown = inner.merged_utility();
                 Some(Ok(EngineResponse::Utility {
-                    total,
-                    interest_sum,
-                    interaction_sum,
+                    total: breakdown.total,
+                    interest_sum: breakdown.interest_sum,
+                    interaction_sum: breakdown.interaction_sum,
                 }))
             }
             EngineQuery::Stats => {
@@ -915,10 +923,10 @@ impl QueryCache {
     ///
     /// Bit-exactness: pairs are re-emitted per global user in ascending
     /// id order — exactly [`igepa_core::Arrangement::pairs`]'s order on
-    /// the merged arrangement — and the utility is read from a fresh
-    /// [`UtilityTracker`] absorbing every view's tracker, which by
-    /// exact-sum partition independence equals the serial backend's
-    /// from-scratch `merged.utility_value(instance)` bit for bit.
+    /// the merged arrangement — and the utility is
+    /// [`CacheInner::merged_utility`], which by exact-sum partition
+    /// independence equals the serial backend's from-scratch
+    /// `merged.utility_value(instance)` bit for bit.
     fn merged_snapshot(&self) -> Option<EngineResponse> {
         let inner = self.read_inner();
         let mut pairs = Vec::new();
@@ -930,15 +938,10 @@ impl QueryCache {
             let user = UserId::new(u);
             pairs.extend(view.events_of(local).iter().map(|&v| (v, user)));
         }
-        let mut tracker = UtilityTracker::new();
-        for view in &inner.views {
-            tracker.absorb(&view.tracker);
-        }
-        let beta = inner.views[0].breakdown.beta;
         Some(EngineResponse::Snapshot {
             num_events: inner.capacities.len(),
             num_users: inner.owners.len(),
-            utility: tracker.breakdown(beta).total,
+            utility: inner.merged_utility().total,
             pairs,
         })
     }
@@ -2656,8 +2659,20 @@ mod tests {
         // Run past the periodic reconcile interval (64): the apply that
         // crosses it must reconcile-and-refresh BEFORE its ack, exactly
         // like the serial coordinator reconciles before returning.
-        for i in 0..70 {
-            let apply = if i % 5 == 4 {
+        //
+        // The last twelve applies set non-dyadic interaction scores: the
+        // per-shard utilities then round in f64, so only an exact
+        // cross-shard merge of the cached views matches the serial
+        // backend's `Utility` bit for bit.
+        for i in 0..82 {
+            let apply = if i >= 70 {
+                EngineRequest::Apply {
+                    delta: InstanceDelta::UpdateInteractionScore {
+                        user: UserId::new(i % 5),
+                        score: [0.1, 0.3, 0.7][i % 3],
+                    },
+                }
+            } else if i % 5 == 4 {
                 // Event-scoped: takes the barrier path, not the worker
                 // fast path.
                 EngineRequest::Apply {

@@ -100,7 +100,6 @@ fn main() {
         "online" => emit_table(run_online_study(&settings), &options),
         "serve" => {
             let shards = options.shards.unwrap_or(1);
-            let repair_threads = options.repair_threads.unwrap_or(1).max(1);
             if let Some(addr) = &options.connect {
                 // Drive a server started elsewhere with `--listen`.
                 let deltas = options.deltas.unwrap_or(500);
@@ -119,7 +118,6 @@ fn main() {
                         shards.max(1),
                         grow_to,
                         options.grow_at.unwrap_or(deltas / 2),
-                        repair_threads,
                         options.churn,
                     );
                     println!("{}", report.to_markdown());
@@ -135,14 +133,8 @@ fn main() {
                 } else if let Some(deltas) = options.deltas {
                     // Loopback smoke: server + client in this process,
                     // with a server-side feasibility check on shutdown.
-                    let report = run_loopback_study(
-                        &settings,
-                        addr,
-                        deltas,
-                        shards.max(1),
-                        repair_threads,
-                        options.churn,
-                    );
+                    let report =
+                        run_loopback_study(&settings, addr, deltas, shards.max(1), options.churn);
                     println!("{}", report.to_markdown());
                     if report.merged_feasible != Some(true) {
                         eprintln!("merged arrangement is INFEASIBLE after the TCP smoke");
@@ -167,18 +159,12 @@ fn main() {
                         .wal
                         .as_deref()
                         .map(|dir| (std::path::Path::new(dir), policy));
-                    run_listen(&settings, addr, shards.max(1), repair_threads, wal);
+                    run_listen(&settings, addr, shards.max(1), wal);
                 }
             } else {
                 let deltas = options.deltas.unwrap_or(10_000);
                 if shards > 1 {
-                    let report = run_sharded_serve_study(
-                        &settings,
-                        deltas,
-                        shards,
-                        repair_threads,
-                        options.churn,
-                    );
+                    let report = run_sharded_serve_study(&settings, deltas, shards, options.churn);
                     println!("{}", report.to_markdown());
                     if !report.merged_feasible {
                         eprintln!("merged arrangement is INFEASIBLE");
@@ -316,7 +302,6 @@ struct Options {
     csv_dir: Option<PathBuf>,
     deltas: Option<usize>,
     shards: Option<usize>,
-    repair_threads: Option<usize>,
     listen: Option<String>,
     connect: Option<String>,
     churn: bool,
@@ -365,10 +350,6 @@ fn parse_options(args: &[String]) -> Options {
             }
             "--shards" => {
                 options.shards = args.get(i + 1).and_then(|v| v.parse().ok());
-                i += 1;
-            }
-            "--repair-threads" => {
-                options.repair_threads = args.get(i + 1).and_then(|v| v.parse().ok());
                 i += 1;
             }
             "--listen" => {
@@ -458,8 +439,6 @@ fn print_usage() {
            --csv-dir <dir>  also write CSV files into <dir>\n\
            --deltas <n>     trace length for `serve` (default 10000)\n\
            --shards <n>     shard count for `serve` (default 1 = monolithic)\n\
-           --repair-threads <n>  intra-shard repair threads for `serve`\n\
-                            (default 1; any count yields bit-identical state)\n\
            --churn          announcement-heavy trace for `serve` (event churn)\n\
            --listen <addr>  serve over TCP (with --deltas: in-process loopback\n\
                             smoke incl. feasibility check; without: serve forever)\n\

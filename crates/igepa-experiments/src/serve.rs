@@ -277,19 +277,8 @@ fn scaled_clustered(settings: &ExperimentSettings) -> ClusteredConfig {
 /// Builds the sharded engine used by the study and the benches: locality
 /// partitioning over the conflict graph, periodic reconciliation, and the
 /// same repair knobs as [`serving_engine`].
-pub fn sharded_serving_engine(
-    instance: Instance,
-    seed: u64,
-    shards: usize,
-    repair_threads: usize,
-) -> ShardedEngine {
-    sharded_serving_engine_with_admission(
-        instance,
-        seed,
-        shards,
-        repair_threads,
-        AdmissionPolicy::Unbounded,
-    )
+pub fn sharded_serving_engine(instance: Instance, seed: u64, shards: usize) -> ShardedEngine {
+    sharded_serving_engine_with_admission(instance, seed, shards, AdmissionPolicy::Unbounded)
 }
 
 /// [`sharded_serving_engine`] with an explicit admission policy — the
@@ -299,7 +288,6 @@ pub fn sharded_serving_engine_with_admission(
     instance: Instance,
     seed: u64,
     shards: usize,
-    repair_threads: usize,
     admission: AdmissionPolicy,
 ) -> ShardedEngine {
     let partitioner = LocalityPartitioner::from_instance(&instance, shards);
@@ -315,7 +303,6 @@ pub fn sharded_serving_engine_with_admission(
                 seed,
                 staleness_check_interval: 128,
                 max_staleness: 0.05,
-                repair_threads: repair_threads.max(1),
                 admission,
                 ..EngineConfig::default()
             },
@@ -332,7 +319,6 @@ pub fn run_sharded_serve_study(
     settings: &ExperimentSettings,
     num_deltas: usize,
     shards: usize,
-    repair_threads: usize,
     churn: bool,
 ) -> ShardedServeReport {
     let dataset = generate_clustered_dataset(&scaled_clustered(settings), settings.base_seed);
@@ -361,7 +347,7 @@ pub fn run_sharded_serve_study(
     let mono_utility = mono.utility();
 
     // Sharded path.
-    let mut sharded = sharded_serving_engine(base, settings.base_seed, shards, repair_threads);
+    let mut sharded = sharded_serving_engine(base, settings.base_seed, shards);
     let sharded_outcome = replay(&mut sharded, &requests);
     assert_eq!(sharded_outcome.report.rejected, 0);
     // One final reconciliation so stranded quota does not linger past the
@@ -534,13 +520,9 @@ fn drive_client(
 
 /// Builds the sharded engine a TCP server fronts, from the same settings
 /// the client derives its trace from.
-pub fn tcp_server_engine(
-    settings: &ExperimentSettings,
-    shards: usize,
-    repair_threads: usize,
-) -> ShardedEngine {
+pub fn tcp_server_engine(settings: &ExperimentSettings, shards: usize) -> ShardedEngine {
     let dataset = generate_clustered_dataset(&scaled_clustered(settings), settings.base_seed);
-    sharded_serving_engine(dataset.instance, settings.base_seed, shards, repair_threads)
+    sharded_serving_engine(dataset.instance, settings.base_seed, shards)
 }
 
 /// Loopback smoke: start a per-shard-worker TCP server on `listen_addr`
@@ -552,14 +534,13 @@ pub fn run_loopback_study(
     listen_addr: &str,
     num_deltas: usize,
     shards: usize,
-    repair_threads: usize,
     churn: bool,
 ) -> LoopbackReport {
     let requests = tcp_trace(settings, num_deltas, shards, churn);
     let listener = TcpListener::bind(listen_addr).expect("listen address binds");
     let handle = EngineServer::serve_sharded(
         listener,
-        tcp_server_engine(settings, shards, repair_threads),
+        tcp_server_engine(settings, shards),
         Framing::Lines,
     )
     .expect("server spawns");
@@ -724,7 +705,6 @@ fn reshard_over(
 /// `Reshard { grow_to }` — the migration must not reject a single
 /// request, the per-shard migration counters must balance, and the
 /// server must exit feasible on the new shard count.
-#[allow(clippy::too_many_arguments)]
 pub fn run_grow_study(
     settings: &ExperimentSettings,
     listen_addr: &str,
@@ -732,7 +712,6 @@ pub fn run_grow_study(
     shards: usize,
     grow_to: usize,
     grow_at: usize,
-    repair_threads: usize,
     churn: bool,
 ) -> GrowReport {
     let requests = tcp_trace(settings, num_deltas, shards, churn);
@@ -740,7 +719,7 @@ pub fn run_grow_study(
     let listener = TcpListener::bind(listen_addr).expect("listen address binds");
     let handle = EngineServer::serve_sharded(
         listener,
-        tcp_server_engine(settings, shards, repair_threads),
+        tcp_server_engine(settings, shards),
         Framing::Lines,
     )
     .expect("server spawns");
@@ -923,7 +902,6 @@ pub fn run_overload_study(
         dataset.instance,
         settings.base_seed,
         shards,
-        1,
         AdmissionPolicy::bounded(admission_cap),
     );
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener binds");
@@ -1044,10 +1022,8 @@ pub fn recover_served_engine(
 ) -> Result<Recovered, RecoveryError> {
     recover(
         dir,
-        // The no-snapshot fallback replays from a fresh engine; the
-        // snapshot path restores `repair_threads` from the checkpointed
-        // ShardedConfig (and thread count never changes results anyway).
-        || tcp_server_engine(settings, shards, 1),
+        // The no-snapshot fallback replays from a fresh engine.
+        || tcp_server_engine(settings, shards),
         |state| {
             // The partitioner only places users registered after the
             // restore; rebuild it from the same deterministic dataset the
@@ -1177,7 +1153,6 @@ pub fn run_listen(
     settings: &ExperimentSettings,
     listen_addr: &str,
     shards: usize,
-    repair_threads: usize,
     wal: Option<(&Path, DurabilityPolicy)>,
 ) -> ! {
     let listener = TcpListener::bind(listen_addr).expect("listen address binds");
@@ -1193,7 +1168,7 @@ pub fn run_listen(
     let _handle = match wal {
         None => EngineServer::serve_sharded(
             listener,
-            tcp_server_engine(settings, shards, repair_threads),
+            tcp_server_engine(settings, shards),
             Framing::Lines,
         ),
         Some((dir, policy)) => {
@@ -1273,7 +1248,7 @@ mod tests {
             scale: 0.25,
             ..ExperimentSettings::quick()
         };
-        let report = run_sharded_serve_study(&settings, 400, 4, 2, false);
+        let report = run_sharded_serve_study(&settings, 400, 4, false);
         assert_eq!(report.shards, 4);
         assert!(report.merged_feasible, "merged arrangement infeasible");
         assert!(
@@ -1294,7 +1269,7 @@ mod tests {
             scale: 0.2,
             ..ExperimentSettings::quick()
         };
-        let report = run_loopback_study(&settings, "127.0.0.1:0", 120, 2, 2, false);
+        let report = run_loopback_study(&settings, "127.0.0.1:0", 120, 2, false);
         assert_eq!(report.num_deltas, 120);
         assert_eq!(report.rejected, 0, "community trace must replay cleanly");
         assert_eq!(report.applied, 120);
@@ -1315,7 +1290,7 @@ mod tests {
             scale: 0.2,
             ..ExperimentSettings::quick()
         };
-        let report = run_grow_study(&settings, "127.0.0.1:0", 120, 2, 3, 60, 1, false);
+        let report = run_grow_study(&settings, "127.0.0.1:0", 120, 2, 3, 60, false);
         assert!(report.passed(), "elastic contract violated: {report:?}");
         assert_eq!(report.rejected, 0);
         assert_eq!(report.migration.from_shards, 2);
@@ -1373,7 +1348,7 @@ mod tests {
             DurabilityController::create(&dir, DurabilityPolicy::Off).expect("controller opens");
         let handle = EngineServer::serve_sharded_durable(
             listener,
-            tcp_server_engine(&settings, shards, 1),
+            tcp_server_engine(&settings, shards),
             Framing::Lines,
             controller,
         )
@@ -1415,7 +1390,7 @@ mod tests {
             scale: 0.2,
             ..ExperimentSettings::quick()
         };
-        let report = run_sharded_serve_study(&settings, 200, 1, 1, false);
+        let report = run_sharded_serve_study(&settings, 200, 1, false);
         assert_eq!(report.shards, 1);
         assert!(report.merged_feasible);
         assert_eq!(

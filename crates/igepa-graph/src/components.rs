@@ -1,13 +1,10 @@
 //! Sparse disjoint-set union over an arbitrary node universe.
 //!
-//! The serving engine splits a shard's dirty set into independent
-//! connected components of the repair-interference graph so components
-//! can be repaired concurrently. Node ids there are drawn from two huge
-//! dense spaces (users and events), but a repair only ever touches a
-//! handful of them — so the union-find here is **sparse**: state is
-//! allocated per *touched* node, found by binary search over a sorted
-//! node table, keeping the whole structure O(changed) rather than
-//! O(universe).
+//! Node ids are often drawn from huge dense spaces (users and events)
+//! of which a caller only touches a handful — so the union-find here is
+//! **sparse**: state is allocated per *touched* node, found by binary
+//! search over a sorted node table, keeping the whole structure
+//! O(touched) rather than O(universe).
 //!
 //! Determinism: components are reported sorted by their smallest member,
 //! with members sorted ascending — the grouping is a pure function of
@@ -114,152 +111,6 @@ impl DisjointSets {
     }
 }
 
-/// Epoch-stamped interner from a bounded `usize` key space to dense ids
-/// `0..len()`.
-///
-/// [`DenseInterner::begin`] resets the mapping in O(1) by bumping an
-/// epoch instead of clearing the table, so a caller that interns a few
-/// dozen keys per round out of a universe of millions pays O(touched)
-/// per round and O(universe) memory once. This is the front half of the
-/// repair-interference component split: node keys are interned while
-/// the graph is built, and the union-find then runs over dense ids with
-/// no per-operation key lookup at all (compare [`DisjointSets`], whose
-/// binary-search lookups dominate on large dirty sets).
-#[derive(Debug, Clone, Default)]
-pub struct DenseInterner {
-    /// Generation stamp; `table` entries from older generations are
-    /// treated as absent.
-    epoch: u32,
-    next: u32,
-    /// `epoch << 32 | id` per key; stale epochs mean "not interned".
-    table: Vec<u64>,
-}
-
-impl DenseInterner {
-    /// Starts a fresh mapping over keys `0..key_bound`. O(1) unless the
-    /// table needs to grow (or the 32-bit epoch wraps, which forces one
-    /// O(universe) clear every 2^32 rounds).
-    pub fn begin(&mut self, key_bound: usize) {
-        if self.epoch == u32::MAX {
-            self.table.clear();
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.next = 0;
-        if self.table.len() < key_bound {
-            self.table.resize(key_bound, 0);
-        }
-    }
-
-    /// Dense id of `key`, allocating the next id on first sight this
-    /// epoch.
-    pub fn intern(&mut self, key: usize) -> u32 {
-        let entry = self.table[key];
-        if (entry >> 32) as u32 == self.epoch {
-            return entry as u32;
-        }
-        let id = self.next;
-        self.next += 1;
-        self.table[key] = (u64::from(self.epoch) << 32) | u64::from(id);
-        id
-    }
-
-    /// Dense id of `key` if it was interned this epoch.
-    pub fn get(&self, key: usize) -> Option<u32> {
-        let entry = *self.table.get(key)?;
-        ((entry >> 32) as u32 == self.epoch).then_some(entry as u32)
-    }
-
-    /// Number of keys interned this epoch.
-    pub fn len(&self) -> usize {
-        self.next as usize
-    }
-
-    /// Whether nothing was interned this epoch.
-    pub fn is_empty(&self) -> bool {
-        self.next == 0
-    }
-}
-
-/// Dense union-find over ids `0..n` — the back half of the interned
-/// component split. All operations are O(α) amortised with plain array
-/// reads; there is no key lookup anywhere.
-#[derive(Debug, Clone)]
-pub struct DenseDisjointSets {
-    parent: Vec<u32>,
-    rank: Vec<u8>,
-}
-
-impl DenseDisjointSets {
-    /// Builds `n` singleton sets.
-    pub fn new(n: usize) -> Self {
-        DenseDisjointSets {
-            parent: (0..n as u32).collect(),
-            rank: vec![0; n],
-        }
-    }
-
-    /// Number of tracked ids.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether no ids are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    fn find(&mut self, mut i: u32) -> u32 {
-        while self.parent[i as usize] != i {
-            // Path halving.
-            self.parent[i as usize] = self.parent[self.parent[i as usize] as usize];
-            i = self.parent[i as usize];
-        }
-        i
-    }
-
-    /// Unions the sets containing ids `a` and `b`.
-    pub fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
-        }
-        match self.rank[ra as usize].cmp(&self.rank[rb as usize]) {
-            std::cmp::Ordering::Less => self.parent[ra as usize] = rb,
-            std::cmp::Ordering::Greater => self.parent[rb as usize] = ra,
-            std::cmp::Ordering::Equal => {
-                self.parent[rb as usize] = ra;
-                self.rank[ra as usize] += 1;
-            }
-        }
-    }
-
-    /// Whether `a` and `b` are currently in the same set.
-    pub fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Extracts the connected components as member-id lists in ascending
-    /// id order, ordered by smallest member — deterministic regardless
-    /// of union order.
-    pub fn components(mut self) -> Vec<Vec<u32>> {
-        let n = self.parent.len() as u32;
-        // First visit in ascending id order assigns component positions
-        // by smallest member, so no sort is needed afterwards.
-        let mut slot_of_root: Vec<u32> = vec![u32::MAX; n as usize];
-        let mut out: Vec<Vec<u32>> = Vec::new();
-        for i in 0..n {
-            let root = self.find(i) as usize;
-            if slot_of_root[root] == u32::MAX {
-                slot_of_root[root] = out.len() as u32;
-                out.push(Vec::new());
-            }
-            out[slot_of_root[root] as usize].push(i);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,58 +155,5 @@ mod tests {
         assert!(sets.connected(u64::MAX, 0));
         let components = sets.components();
         assert_eq!(components, vec![vec![0, u64::MAX], vec![1 << 40]]);
-    }
-
-    #[test]
-    fn interner_assigns_dense_ids_in_first_sight_order() {
-        let mut interner = DenseInterner::default();
-        interner.begin(10);
-        assert_eq!(interner.intern(7), 0);
-        assert_eq!(interner.intern(3), 1);
-        assert_eq!(interner.intern(7), 0);
-        assert_eq!(interner.len(), 2);
-        assert_eq!(interner.get(3), Some(1));
-        assert_eq!(interner.get(4), None);
-    }
-
-    #[test]
-    fn interner_epochs_reset_in_constant_time() {
-        let mut interner = DenseInterner::default();
-        interner.begin(5);
-        interner.intern(2);
-        interner.begin(5);
-        assert!(interner.is_empty());
-        assert_eq!(interner.get(2), None);
-        assert_eq!(interner.intern(4), 0);
-    }
-
-    #[test]
-    fn dense_union_find_matches_the_sparse_one() {
-        let keys: Vec<u64> = vec![1, 2, 3, 4, 5];
-        let mut sparse = DisjointSets::build(keys.clone());
-        let mut dense = DenseDisjointSets::new(keys.len());
-        for (a, b) in [(1u64, 3), (5, 4), (3, 2)] {
-            sparse.union(a, b);
-            dense.union(a as u32 - 1, b as u32 - 1);
-        }
-        let dense_as_keys: Vec<Vec<u64>> = dense
-            .components()
-            .into_iter()
-            .map(|c| c.into_iter().map(|i| keys[i as usize]).collect())
-            .collect();
-        assert_eq!(sparse.components(), dense_as_keys);
-    }
-
-    #[test]
-    fn dense_components_order_by_smallest_member() {
-        let mut sets = DenseDisjointSets::new(6);
-        sets.union(5, 0);
-        sets.union(3, 1);
-        assert!(sets.connected(0, 5));
-        assert!(!sets.connected(0, 1));
-        assert_eq!(
-            sets.components(),
-            vec![vec![0, 5], vec![1, 3], vec![2], vec![4]]
-        );
     }
 }

@@ -43,7 +43,7 @@ pub use centrality::{
     eigenvector_centrality, pagerank, PageRankConfig,
 };
 pub use community::{greedy_modularity, label_propagation, modularity, Partition};
-pub use components::{DenseDisjointSets, DenseInterner, DisjointSets};
+pub use components::DisjointSets;
 pub use generators::{
     barabasi_albert, erdos_renyi, from_group_memberships, random_edges, watts_strogatz,
 };

@@ -116,7 +116,6 @@ fn default_serde_baseline() -> BTreeMap<&'static str, Vec<&'static str>> {
             "batch_policy",
             "online_cost_calibration",
             "durability",
-            "repair_threads",
             "admission",
         ],
     );
