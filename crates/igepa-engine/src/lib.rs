@@ -142,11 +142,14 @@
 //! [`transport`] puts the envelopes on TCP: line- or length-prefix-framed
 //! JSONL, a blocking [`EngineClient`] (which also *pipelines*: send-ahead
 //! with correlation-id matching on receipt, removing the RTT-per-request
-//! floor), a serial [`EngineServer::serve`] for any backend, and
-//! [`EngineServer::serve_sharded`], which runs one worker thread per
+//! floor), and one server, [`EngineServer::serve_sharded`] (plus its
+//! durable and fault-injected flavours), which runs one worker thread per
 //! shard — user-scoped deltas are validated on the coordinator and
 //! repaired concurrently on the owning shard's worker; broadcasts,
-//! batches and `Rebalance` barrier.
+//! batches and `Rebalance` barrier. Every server path computes the strict
+//! typed result; the connection thread projects it into the legacy
+//! dialect for bare pre-envelope requests, the one place the dialects
+//! split.
 //!
 //! The **read path is barrier-free**: each worker reports an epoch-tagged
 //! read-state view with every apply completion (shipped as an

@@ -10,12 +10,15 @@
 //!   needs from a serving engine (apply, rebalance, and the read-side
 //!   accessors). Both engines implement it; the monolithic one behaves as
 //!   a single logical shard.
-//! * [`EngineService`] interprets requests against a backend. It speaks
-//!   two dialects: the **legacy** path reproduces the pre-envelope
-//!   protocol bit for bit (stringly `Rejected`, silent `[]` / `(0, 0)`
-//!   answers for unknown ids), and the **strict** path — used for
-//!   [`RequestEnvelope`]s at [`PROTOCOL_VERSION`] — returns typed
-//!   [`EngineError`]s instead.
+//! * [`EngineService`] interprets requests against a backend. Every
+//!   request is answered in the **strict** dialect — a typed
+//!   `Result<EngineResponse, EngineError>`, the shape
+//!   [`RequestEnvelope`]s at [`PROTOCOL_VERSION`] receive. The **legacy**
+//!   dialect of the pre-envelope protocol (stringly `Rejected`, silent
+//!   `[]` / `(0, 0)` answers for unknown ids) is not a second code path
+//!   but one projection of the strict result, `legacy_response`, applied
+//!   at the response edge: by [`handle_request`] in process and by the
+//!   TCP server's connection threads for [`LEGACY_VERSION`] envelopes.
 //!
 //! A recorded pre-envelope JSONL log therefore replays through
 //! [`EngineService`] with byte-identical responses, while new clients get
@@ -25,8 +28,8 @@ use crate::coordinator::{ShardStatsEntry, ShardedEngine};
 use crate::engine::Engine;
 use crate::error::{EngineError, EntityRef};
 use crate::protocol::{
-    decode_request_envelope, EngineQuery, EngineRequest, EngineResponse, MigrationRecord,
-    RequestEnvelope, ResponseEnvelope, LEGACY_VERSION, PROTOCOL_VERSION,
+    EngineQuery, EngineRequest, EngineResponse, MigrationRecord, RequestEnvelope, ResponseEnvelope,
+    LEGACY_VERSION, PROTOCOL_VERSION,
 };
 use crate::reconcile::ReconcileReport;
 use crate::shard::{ApplyOutcome, EngineStats};
@@ -112,13 +115,11 @@ pub(crate) fn applied_response(outcome: ApplyOutcome) -> EngineResponse {
     }
 }
 
-/// The single protocol interpretation. `strict` selects the enveloped
-/// dialect: out-of-range query ids become [`EngineError::NotFound`]
-/// instead of the legacy silent `[]` / `(0, 0)` answers.
-fn try_dispatch<B: EngineBackend>(
+/// The single protocol interpretation, in the strict dialect: failures
+/// are typed, and out-of-range query ids are [`EngineError::NotFound`].
+pub(crate) fn try_dispatch<B: EngineBackend>(
     backend: &mut B,
     request: &EngineRequest,
-    strict: bool,
 ) -> Result<EngineResponse, EngineError> {
     match request {
         EngineRequest::Apply { delta } => backend
@@ -154,14 +155,13 @@ fn try_dispatch<B: EngineBackend>(
             .map_err(|detail| EngineError::Rejected {
                 reason: crate::error::RejectReason::Invalid { detail },
             }),
-        EngineRequest::Query { query } => answer(backend, *query, strict),
+        EngineRequest::Query { query } => answer(backend, *query),
     }
 }
 
 fn answer<B: EngineBackend>(
     backend: &B,
     query: EngineQuery,
-    strict: bool,
 ) -> Result<EngineResponse, EngineError> {
     match query {
         EngineQuery::Utility => {
@@ -174,14 +174,8 @@ fn answer<B: EngineBackend>(
         }
         EngineQuery::AssignmentsOf { user } => {
             if user.index() >= backend.num_users() {
-                if strict {
-                    return Err(EngineError::NotFound {
-                        entity: EntityRef::User { user },
-                    });
-                }
-                return Ok(EngineResponse::Assignments {
-                    user,
-                    events: Vec::new(),
+                return Err(EngineError::NotFound {
+                    entity: EntityRef::User { user },
                 });
             }
             Ok(EngineResponse::Assignments {
@@ -191,15 +185,8 @@ fn answer<B: EngineBackend>(
         }
         EngineQuery::EventLoad { event } => {
             if event.index() >= backend.num_events() {
-                if strict {
-                    return Err(EngineError::NotFound {
-                        entity: EntityRef::Event { event },
-                    });
-                }
-                return Ok(EngineResponse::EventLoad {
-                    event,
-                    load: 0,
-                    capacity: 0,
+                return Err(EngineError::NotFound {
+                    entity: EntityRef::Event { event },
                 });
             }
             let (load, capacity) = backend.event_load(event);
@@ -251,6 +238,36 @@ fn answer<B: EngineBackend>(
     }
 }
 
+/// The legacy (pre-envelope) dialect as a projection of a strict result —
+/// the one place the two dialects differ. A typed rejection becomes the
+/// stringly `Rejected` response, an out-of-range lookup the silent
+/// `[]` / `(0, 0)` answer, and any other error its display text in a
+/// `Rejected`.
+pub(crate) fn legacy_response(result: Result<EngineResponse, EngineError>) -> EngineResponse {
+    match result {
+        Ok(response) => response,
+        Err(EngineError::Rejected { reason }) => EngineResponse::Rejected {
+            reason: reason.to_string(),
+        },
+        Err(EngineError::NotFound {
+            entity: EntityRef::User { user },
+        }) => EngineResponse::Assignments {
+            user,
+            events: Vec::new(),
+        },
+        Err(EngineError::NotFound {
+            entity: EntityRef::Event { event },
+        }) => EngineResponse::EventLoad {
+            event,
+            load: 0,
+            capacity: 0,
+        },
+        Err(other) => EngineResponse::Rejected {
+            reason: other.to_string(),
+        },
+    }
+}
+
 /// Handles one request with legacy (pre-envelope) semantics: rejections
 /// come back as the stringly `Rejected` response and out-of-range query
 /// ids answer silently. This is the path replayed request logs take.
@@ -258,35 +275,7 @@ pub fn handle_request<B: EngineBackend>(
     backend: &mut B,
     request: &EngineRequest,
 ) -> EngineResponse {
-    match try_dispatch(backend, request, false) {
-        Ok(response) => response,
-        Err(EngineError::Rejected { reason }) => EngineResponse::Rejected {
-            reason: reason.to_string(),
-        },
-        // Non-strict dispatch only fails on rejected deltas, but keep the
-        // mapping total rather than panic on a future error kind.
-        Err(other) => EngineResponse::Rejected {
-            reason: other.to_string(),
-        },
-    }
-}
-
-/// Version-gated envelope dispatch against a backend; shared by
-/// [`EngineService::handle_envelope`] and the TCP transport's barrier
-/// path so the two can never disagree.
-pub(crate) fn dispatch_envelope<B: EngineBackend>(
-    backend: &mut B,
-    envelope: &RequestEnvelope,
-) -> ResponseEnvelope {
-    let result = match envelope.version {
-        PROTOCOL_VERSION => try_dispatch(backend, &envelope.body, true),
-        LEGACY_VERSION => Ok(handle_request(backend, &envelope.body)),
-        version => Err(EngineError::Unsupported { version }),
-    };
-    ResponseEnvelope {
-        id: envelope.id,
-        result,
-    }
+    legacy_response(try_dispatch(backend, request))
 }
 
 /// The engine service: one backend plus the protocol interpretation.
@@ -349,7 +338,7 @@ impl<B: EngineBackend> EngineService<B> {
     /// Handles one request with strict semantics: typed errors, and
     /// `NotFound` for out-of-range query ids.
     pub fn try_handle(&mut self, request: &EngineRequest) -> Result<EngineResponse, EngineError> {
-        try_dispatch(&mut self.backend, request, true)
+        try_dispatch(&mut self.backend, request)
     }
 
     /// Handles one enveloped request. The envelope's version selects the
@@ -358,19 +347,14 @@ impl<B: EngineBackend> EngineService<B> {
     /// keeps legacy semantics, and anything else is
     /// [`EngineError::Unsupported`].
     pub fn handle_envelope(&mut self, envelope: &RequestEnvelope) -> ResponseEnvelope {
-        dispatch_envelope(&mut self.backend, envelope)
-    }
-
-    /// Decodes one wire line (enveloped or legacy-bare) and handles it.
-    /// Undecodable lines answer [`EngineError::Malformed`] under
-    /// `fallback_id` instead of tearing down the connection.
-    pub fn handle_line(&mut self, line: &str, fallback_id: u64) -> ResponseEnvelope {
-        match decode_request_envelope(line, fallback_id) {
-            Ok(envelope) => self.handle_envelope(&envelope),
-            Err(e) => ResponseEnvelope {
-                id: fallback_id,
-                result: Err(EngineError::Malformed { detail: e.message }),
-            },
+        let result = match envelope.version {
+            PROTOCOL_VERSION => self.try_handle(&envelope.body),
+            LEGACY_VERSION => Ok(self.handle(&envelope.body)),
+            version => Err(EngineError::Unsupported { version }),
+        };
+        ResponseEnvelope {
+            id: envelope.id,
+            result,
         }
     }
 }
@@ -679,14 +663,82 @@ mod tests {
         assert_eq!(future.result, Err(EngineError::Unsupported { version: 42 }));
     }
 
+    /// Pins the legacy projection for every error kind the server can
+    /// produce for a legacy request, against the exact responses the
+    /// legacy dialect has always carried.
     #[test]
-    fn handle_line_reports_malformed_input() {
-        let mut service = service_for(1, 1);
-        let response = service.handle_line("not json at all", 7);
-        assert_eq!(response.id, 7);
-        assert!(matches!(
-            response.result,
-            Err(EngineError::Malformed { .. })
-        ));
+    fn legacy_projection_table() {
+        let rejected = |reason: &str| EngineResponse::Rejected {
+            reason: reason.to_string(),
+        };
+        let cases = vec![
+            (
+                EngineError::Rejected {
+                    reason: RejectReason::UnknownUser {
+                        user: UserId::new(9),
+                    },
+                },
+                rejected("user u9 does not exist in the instance"),
+            ),
+            (
+                EngineError::Rejected {
+                    reason: RejectReason::Invalid {
+                        detail:
+                            "write-ahead log append failed: disk full; serving is now read-only"
+                                .to_string(),
+                    },
+                },
+                rejected("write-ahead log append failed: disk full; serving is now read-only"),
+            ),
+            (
+                EngineError::NotFound {
+                    entity: EntityRef::User {
+                        user: UserId::new(99),
+                    },
+                },
+                EngineResponse::Assignments {
+                    user: UserId::new(99),
+                    events: Vec::new(),
+                },
+            ),
+            (
+                EngineError::NotFound {
+                    entity: EntityRef::Event {
+                        event: EventId::new(99),
+                    },
+                },
+                EngineResponse::EventLoad {
+                    event: EventId::new(99),
+                    load: 0,
+                    capacity: 0,
+                },
+            ),
+            (
+                EngineError::Internal {
+                    detail: "shard 2 worker is gone".to_string(),
+                },
+                rejected("internal error: shard 2 worker is gone"),
+            ),
+            (
+                EngineError::Overloaded {
+                    queue_depth: 4,
+                    retry_after_ms: 50,
+                },
+                rejected("overloaded: 4 requests queued, retry after 50 ms"),
+            ),
+            (
+                EngineError::DeadlineExceeded { deadline_ms: 0 },
+                rejected("deadline exceeded: 0 ms budget expired before dispatch"),
+            ),
+        ];
+        for (error, expected) in cases {
+            assert_eq!(legacy_response(Err(error.clone())), expected, "{error:?}");
+        }
+        let ok = EngineResponse::EventLoad {
+            event: EventId::new(1),
+            load: 1,
+            capacity: 2,
+        };
+        assert_eq!(legacy_response(Ok(ok.clone())), ok);
     }
 }

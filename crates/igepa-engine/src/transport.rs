@@ -15,10 +15,9 @@
 //!   [`EngineClient::pipeline`]): a whole burst goes on the wire before
 //!   the first response is read, with responses matched to outstanding
 //!   correlation ids on receipt — removing the RTT-per-request floor.
-//! * **[`EngineServer`]** — [`EngineServer::serve`] runs any
-//!   [`EngineBackend`] behind a single dispatch thread;
-//!   [`EngineServer::serve_sharded`] additionally detaches a
-//!   [`ShardedEngine`]'s shards into **per-shard worker threads**. Shards
+//! * **[`EngineServer`]** — [`EngineServer::serve_sharded`] detaches a
+//!   [`ShardedEngine`]'s shards into **per-shard worker threads** behind
+//!   one dispatch thread. Shards
 //!   are independent between reconcile passes, so user-scoped `Apply`
 //!   requests are validated on the coordinator and executed concurrently
 //!   on the owning shard's worker, while event broadcasts, batches,
@@ -31,6 +30,15 @@
 //!   refuses the request), `Checkpoint` requests and automatic every-N
 //!   checkpoints serialize the engine at a barrier, and the
 //!   `DurabilityStats` query reads the live counters.
+//!
+//! **One dialect edge**: every server path — cached reads, admission,
+//! the dispatcher's gates, the worker fast path, barrier execution —
+//! computes the strict `Result<EngineResponse, EngineError>`. Reply
+//! channels carry that [`ResponseEnvelope`] back to the connection
+//! thread, which knows each request's version: for a
+//! [`LEGACY_VERSION`] (bare pre-envelope) request it applies the one
+//! legacy projection before encoding, so legacy clients still get the
+//! stringly `Rejected` and silent `[]` / `(0, 0)` answers.
 //!
 //! **Barrier-free reads**: every read query — the aggregates `Utility` /
 //! `Stats` / `ShardStats`, the per-entity reads `AssignmentsOf` /
@@ -60,14 +68,14 @@
 
 use crate::coordinator::{ShardStatsEntry, ShardedEngine};
 use crate::durability::{is_mutating, DurabilityController};
-use crate::error::EngineError;
+use crate::error::{EngineError, RejectReason};
 use crate::faults::{splitmix64, FaultInjector};
 use crate::protocol::{
     decode_request_envelope, decode_response_envelope, encode_request_envelope,
     encode_response_envelope, EngineQuery, EngineRequest, EngineResponse, OverloadStats,
     ProtocolError, RequestEnvelope, ResponseEnvelope, LEGACY_VERSION, PROTOCOL_VERSION,
 };
-use crate::service::{applied_response, dispatch_envelope, EngineBackend, EngineService};
+use crate::service::{applied_response, legacy_response, try_dispatch};
 use crate::shard::{AdmissionPolicy, ApplyOutcome, EngineStats, Shard};
 use igepa_core::{
     ArrangementDiff, CapacityTarget, InstanceDelta, UserId, UtilityBreakdown, UtilityTracker,
@@ -661,6 +669,36 @@ impl CacheInner {
         let beta = self.views.first().map_or(0.0, |view| view.breakdown.beta);
         tracker.breakdown(beta)
     }
+
+    /// Serves `MergedSnapshot` from the cached per-shard views when they
+    /// form a *consistent checkpoint* — every user in the owner table
+    /// resolves inside its shard's assignment snapshot. Returns `None`
+    /// (→ barrier fallback) while a user-creating apply is still in
+    /// flight, i.e. its view has not been installed yet.
+    ///
+    /// Bit-exactness: pairs are re-emitted per global user in ascending
+    /// id order — exactly [`igepa_core::Arrangement::pairs`]'s order on
+    /// the merged arrangement — and the utility is
+    /// [`CacheInner::merged_utility`], which by exact-sum partition
+    /// independence equals the in-process backend's from-scratch
+    /// `merged.utility_value(instance)` bit for bit.
+    fn merged_snapshot(&self) -> Option<EngineResponse> {
+        let mut pairs = Vec::new();
+        for (u, &(shard, local)) in self.owners.iter().enumerate() {
+            let view = &self.views[shard].assignments;
+            if local.index() >= view.num_users() {
+                return None;
+            }
+            let user = UserId::new(u);
+            pairs.extend(view.events_of(local).iter().map(|&v| (v, user)));
+        }
+        Some(EngineResponse::Snapshot {
+            num_events: self.capacities.len(),
+            num_users: self.owners.len(),
+            utility: self.merged_utility().total,
+            pairs,
+        })
+    }
 }
 
 impl QueryCache {
@@ -780,22 +818,16 @@ impl QueryCache {
         self.write_inner().rejected = rejected;
     }
 
-    /// Answers one cacheable query, reproducing the serial service's
-    /// semantics bit for bit: same shard order, same exact utility merge,
-    /// same rejected-delta attribution for the aggregates, and the same
-    /// dialect split for the per-entity reads (`strict` selects typed
-    /// `NotFound` over the legacy silent `[]` / `(0, 0)` answers).
+    /// Answers one cacheable query, reproducing the in-process service's
+    /// strict semantics bit for bit: same shard order, same exact utility
+    /// merge, same rejected-delta attribution for the aggregates, and
+    /// typed `NotFound` for out-of-range per-entity reads.
     ///
-    /// Returns `None` for the queries the cache cannot serve
-    /// (`MergedSnapshot` consistency is checked separately by
-    /// [`QueryCache::merged_snapshot`]; `DurabilityStats` lives with
-    /// the dispatcher) — the caller falls through to the dispatch
-    /// queue.
-    fn answer(
-        &self,
-        query: EngineQuery,
-        strict: bool,
-    ) -> Option<Result<EngineResponse, EngineError>> {
+    /// Returns `None` for the queries the cache cannot serve — a
+    /// `MergedSnapshot` whose views are not yet a consistent checkpoint,
+    /// and `DurabilityStats`, which lives with the dispatcher — so the
+    /// caller falls through to the dispatch queue.
+    fn answer(&self, query: EngineQuery) -> Option<Result<EngineResponse, EngineError>> {
         let inner = self.read_inner();
         match query {
             EngineQuery::Utility => {
@@ -848,14 +880,8 @@ impl QueryCache {
             }
             EngineQuery::AssignmentsOf { user } => {
                 let Some(&(shard, local)) = inner.owners.get(user.index()) else {
-                    if strict {
-                        return Some(Err(EngineError::NotFound {
-                            entity: crate::error::EntityRef::User { user },
-                        }));
-                    }
-                    return Some(Ok(EngineResponse::Assignments {
-                        user,
-                        events: Vec::new(),
+                    return Some(Err(EngineError::NotFound {
+                        entity: crate::error::EntityRef::User { user },
                     }));
                 };
                 // A just-registered user whose creating apply has not yet
@@ -872,15 +898,8 @@ impl QueryCache {
             }
             EngineQuery::EventLoad { event } => {
                 let Some(&capacity) = inner.capacities.get(event.index()) else {
-                    if strict {
-                        return Some(Err(EngineError::NotFound {
-                            entity: crate::error::EntityRef::Event { event },
-                        }));
-                    }
-                    return Some(Ok(EngineResponse::EventLoad {
-                        event,
-                        load: 0,
-                        capacity: 0,
+                    return Some(Err(EngineError::NotFound {
+                        entity: crate::error::EntityRef::Event { event },
                     }));
                 };
                 // Merge the per-shard loads in the connection thread —
@@ -905,45 +924,15 @@ impl QueryCache {
                     capacity,
                 }))
             }
-            // `MergedSnapshot` consistency is checked separately by
-            // `merged_snapshot`; `DurabilityStats` lives with the
-            // dispatcher; `OverloadStats` is answered even earlier, in
-            // the connection loop, straight from the shared counters.
-            EngineQuery::MergedSnapshot
-            | EngineQuery::DurabilityStats
-            | EngineQuery::OverloadStats => None,
+            // Served from the cached views when they form a consistent
+            // checkpoint (falls through to the barrier path while an
+            // owner row is still unresolved).
+            EngineQuery::MergedSnapshot => inner.merged_snapshot().map(Ok),
+            // `DurabilityStats` lives with the dispatcher; `OverloadStats`
+            // is answered in the connection loop, straight from the
+            // shared counters.
+            EngineQuery::DurabilityStats | EngineQuery::OverloadStats => None,
         }
-    }
-
-    /// Serves `MergedSnapshot` from the cached per-shard views when they
-    /// form a *consistent checkpoint* — every user in the owner table
-    /// resolves inside its shard's assignment snapshot. Returns `None`
-    /// (→ barrier fallback) while a user-creating apply is still in
-    /// flight, i.e. its view has not been installed yet.
-    ///
-    /// Bit-exactness: pairs are re-emitted per global user in ascending
-    /// id order — exactly [`igepa_core::Arrangement::pairs`]'s order on
-    /// the merged arrangement — and the utility is
-    /// [`CacheInner::merged_utility`], which by exact-sum partition
-    /// independence equals the serial backend's from-scratch
-    /// `merged.utility_value(instance)` bit for bit.
-    fn merged_snapshot(&self) -> Option<EngineResponse> {
-        let inner = self.read_inner();
-        let mut pairs = Vec::new();
-        for (u, &(shard, local)) in inner.owners.iter().enumerate() {
-            let view = &inner.views[shard].assignments;
-            if local.index() >= view.num_users() {
-                return None;
-            }
-            let user = UserId::new(u);
-            pairs.extend(view.events_of(local).iter().map(|&v| (v, user)));
-        }
-        Some(EngineResponse::Snapshot {
-            num_events: inner.capacities.len(),
-            num_users: inner.owners.len(),
-            utility: inner.merged_utility().total,
-            pairs,
-        })
     }
 }
 
@@ -1028,7 +1017,7 @@ impl OverloadState {
         }
     }
 
-    /// One non-mutating (or serial-path) message entered the queue.
+    /// One non-mutating message entered the queue.
     /// Reads are always admitted: each connection keeps at most one
     /// request in the queue, so read depth is bounded by the
     /// connection count, and shedding them would defeat the "reads
@@ -1038,8 +1027,8 @@ impl OverloadState {
         self.high_water.fetch_max(depth, Ordering::SeqCst);
     }
 
-    /// One counted message was picked up for execution. Saturating:
-    /// wiring-bug messages were never counted in.
+    /// One counted message was picked up for execution. Saturating, so
+    /// a miscount can never wrap the gauge.
     fn note_dequeued(&self) {
         let _ = self
             .queue_depth
@@ -1080,21 +1069,19 @@ impl OverloadState {
     }
 }
 
-/// Messages flowing into a server's dispatch thread.
+/// Messages flowing into the server's dispatch thread. Replies carry the
+/// strict [`ResponseEnvelope`]; the connection thread projects and
+/// encodes it.
 enum ServerMsg {
-    /// One decoded-later wire line plus the channel its response goes to
-    /// (the serial server's path; connections decode nothing).
-    Request { line: String, reply: Sender<String> },
-    /// One envelope already decoded by the connection thread (the
-    /// sharded server's path; cacheable queries were answered before
-    /// ever reaching this queue).
+    /// One envelope decoded by a connection thread (cacheable queries
+    /// were answered before ever reaching this queue).
     Envelope {
         envelope: RequestEnvelope,
         /// When the connection thread admitted the envelope; the
         /// dispatcher checks the envelope's `deadline_ms` budget
         /// against this at dequeue.
         received_at: Instant,
-        reply: Sender<String>,
+        reply: Sender<ResponseEnvelope>,
     },
     /// A per-shard worker finished an apply.
     Completion {
@@ -1104,7 +1091,7 @@ enum ServerMsg {
         /// usually a diff against the previously shipped view.
         view: ViewUpdate,
         envelope_id: u64,
-        reply: Sender<String>,
+        reply: Sender<ResponseEnvelope>,
     },
     /// Stop dispatching and return the backend.
     Shutdown,
@@ -1116,7 +1103,7 @@ enum WorkerMsg {
     Apply {
         delta: InstanceDelta,
         envelope_id: u64,
-        reply: Sender<String>,
+        reply: Sender<ResponseEnvelope>,
     },
     /// Hand the shard back to the coordinator (barrier).
     Surrender,
@@ -1145,8 +1132,8 @@ impl<B> ServerHandle<B> {
     }
 
     /// Stops accepting, drains in-flight work, joins every thread and
-    /// returns the backend (with all shards re-attached, for the sharded
-    /// server) so callers can inspect the final served state.
+    /// returns the backend (with all shards re-attached) so callers can
+    /// inspect the final served state.
     pub fn shutdown(self) -> io::Result<B> {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = self.queue.send(ServerMsg::Shutdown);
@@ -1165,28 +1152,6 @@ impl<B> ServerHandle<B> {
 pub struct EngineServer;
 
 impl EngineServer {
-    /// Serves any backend behind one dispatch thread: requests from all
-    /// connections are executed serially against the wrapped
-    /// [`EngineService`], in arrival order.
-    pub fn serve<B: EngineBackend + Send + 'static>(
-        listener: TcpListener,
-        service: EngineService<B>,
-        framing: Framing,
-    ) -> io::Result<ServerHandle<B>> {
-        // The serial server carries no EngineConfig (its backend is
-        // generic), so it serves unbounded — exactly the pre-admission
-        // behaviour.
-        let overload = OverloadState::shared(AdmissionPolicy::Unbounded);
-        let dispatch_overload = Arc::clone(&overload);
-        spawn_server(
-            listener,
-            framing,
-            None,
-            overload,
-            move |queue_rx, _queue_tx| serial_dispatch(service, queue_rx, dispatch_overload),
-        )
-    }
-
     /// Serves a [`ShardedEngine`] with one worker thread per shard:
     /// user-scoped `Apply` requests run concurrently on the owning
     /// shard's worker; aggregate queries are answered from the shared
@@ -1235,6 +1200,9 @@ impl EngineServer {
         Self::serve_sharded_inner(listener, engine, framing, durability, Some(faults))
     }
 
+    /// The one server constructor: spawns the dispatch thread (which
+    /// owns the coordinator and the per-shard workers) and the accept
+    /// loop, which gives every connection its own thread.
     fn serve_sharded_inner(
         listener: TcpListener,
         engine: ShardedEngine,
@@ -1242,96 +1210,67 @@ impl EngineServer {
         durability: Option<DurabilityController>,
         faults: Option<Arc<FaultInjector>>,
     ) -> io::Result<ServerHandle<ShardedEngine>> {
+        let addr = listener.local_addr()?;
         let cache = QueryCache::from_engine(&engine);
         // Admission comes from the engine's own config: the default
         // `AdmissionPolicy::Unbounded` reproduces the pre-admission
         // server exactly; a bounded policy makes overload a typed,
         // immediate refusal instead of unbounded queue growth.
         let overload = OverloadState::shared(engine.config().shard.admission);
-        let dispatch_overload = Arc::clone(&overload);
-        spawn_server(
-            listener,
-            framing,
-            Some(cache.clone()),
-            overload,
-            move |rx, tx| {
-                ShardDispatcher::new(engine, tx, cache, durability, dispatch_overload, faults)
-                    .run(rx)
-            },
-        )
-    }
-}
+        let (queue_tx, queue_rx) = mpsc::channel::<ServerMsg>();
+        let shutdown = Arc::new(AtomicBool::new(false));
 
-/// Spawns the accept loop and the dispatch thread shared by both server
-/// flavours. `dispatch` consumes the queue until shutdown and returns the
-/// backend; it also receives a sender so worker threads can feed
-/// completions into the same queue. With a `cache`, connection threads
-/// decode envelopes themselves and answer cacheable queries locally.
-fn spawn_server<B, F>(
-    listener: TcpListener,
-    framing: Framing,
-    cache: Option<Arc<QueryCache>>,
-    overload: Arc<OverloadState>,
-    dispatch: F,
-) -> io::Result<ServerHandle<B>>
-where
-    B: Send + 'static,
-    F: FnOnce(Receiver<ServerMsg>, Sender<ServerMsg>) -> B + Send + 'static,
-{
-    let addr = listener.local_addr()?;
-    let (queue_tx, queue_rx) = mpsc::channel::<ServerMsg>();
-    let shutdown = Arc::new(AtomicBool::new(false));
+        // Workers feed their completions into the same queue.
+        let dispatcher = ShardDispatcher::new(
+            engine,
+            queue_tx.clone(),
+            Arc::clone(&cache),
+            durability,
+            Arc::clone(&overload),
+            faults,
+        );
+        let dispatch_handle = thread::spawn(move || dispatcher.run(queue_rx));
 
-    let dispatch_queue_tx = queue_tx.clone();
-    let dispatch_handle = thread::spawn(move || dispatch(queue_rx, dispatch_queue_tx));
-
-    let accept_queue = queue_tx.clone();
-    let accept_shutdown = Arc::clone(&shutdown);
-    let accept_handle = thread::spawn(move || {
-        for stream in listener.incoming() {
-            if accept_shutdown.load(Ordering::SeqCst) {
-                break;
+        let accept_queue = queue_tx.clone();
+        let accept_shutdown = Arc::clone(&shutdown);
+        let accept_handle = thread::spawn(move || {
+            for stream in listener.incoming() {
+                if accept_shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                let queue = accept_queue.clone();
+                let cache = Arc::clone(&cache);
+                let overload = Arc::clone(&overload);
+                thread::spawn(move || connection_loop(stream, queue, framing, cache, overload));
             }
-            let Ok(stream) = stream else { continue };
-            let queue = accept_queue.clone();
-            let cache = cache.clone();
-            let overload = Arc::clone(&overload);
-            thread::spawn(move || connection_loop(stream, queue, framing, cache, overload));
-        }
-    });
+        });
 
-    Ok(ServerHandle {
-        addr,
-        queue: queue_tx,
-        shutdown,
-        accept_handle,
-        dispatch_handle,
-    })
+        Ok(ServerHandle {
+            addr,
+            queue: queue_tx,
+            shutdown,
+            accept_handle,
+            dispatch_handle,
+        })
+    }
 }
 
 /// Per-connection read/dispatch/write loop. Requests from one connection
 /// are answered in order; the loop ends on client disconnect, a dead
 /// dispatcher, or a write failure.
 ///
-/// With a query cache (the sharded server), the connection thread itself
-/// decodes each line: cacheable queries are answered straight from the
-/// cache — the read path shares nothing with the dispatch queue — and
-/// everything else is forwarded pre-decoded. Malformed lines answer
-/// locally under a per-connection fallback id.
-///
-/// The connection thread is also the **admission side** of overload
-/// control: a mutation is checked against the [`OverloadState`] *before*
-/// it is enqueued, and at saturation (or in read-only degraded mode) it
-/// is refused right here with a typed [`EngineError::Overloaded`] —
-/// nothing enters the queue, so queue depth is bounded by the policy cap
-/// no matter how hard clients push. Cache-answered reads never touch
-/// admission at all, which is what keeps them flowing while mutations
-/// shed.
+/// The connection thread decodes each line itself (malformed lines
+/// answer locally under a per-connection fallback id), has
+/// [`answer_envelope`] produce the strict response, and is the one
+/// place a wire response is shaped: a [`LEGACY_VERSION`] request gets
+/// the legacy projection of that response, then every response is
+/// encoded and written here.
 fn connection_loop(
     stream: TcpStream,
     queue: Sender<ServerMsg>,
     framing: Framing,
-    cache: Option<Arc<QueryCache>>,
+    cache: Arc<QueryCache>,
     overload: Arc<OverloadState>,
 ) {
     stream.set_nodelay(true).ok();
@@ -1342,185 +1281,89 @@ fn connection_loop(
     let mut writer = stream;
     let mut fallback_seq = 0u64;
     while let Ok(Some(line)) = read_frame(&mut reader, framing) {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let msg = match &cache {
-            None => {
-                // Serial path: lines are opaque here, so every one is
-                // counted through the (always unbounded) depth gauge.
-                overload.note_enqueued();
-                ServerMsg::Request {
-                    line,
-                    reply: reply_tx,
-                }
-            }
-            Some(cache) => {
-                fallback_seq += 1;
-                let envelope = match decode_request_envelope(&line, fallback_seq) {
-                    Ok(envelope) => envelope,
-                    Err(e) => {
-                        let response = ResponseEnvelope {
-                            id: fallback_seq,
-                            result: Err(EngineError::Malformed { detail: e.message }),
-                        };
-                        if write_frame(&mut writer, framing, &encode_response_envelope(&response))
-                            .is_err()
-                        {
-                            break;
-                        }
-                        continue;
-                    }
+        fallback_seq += 1;
+        let response = match decode_request_envelope(&line, fallback_seq) {
+            Ok(envelope) => {
+                let legacy = envelope.version == LEGACY_VERSION;
+                let Some(mut response) = answer_envelope(envelope, &queue, &cache, &overload)
+                else {
+                    break;
                 };
-                let supported =
-                    envelope.version == PROTOCOL_VERSION || envelope.version == LEGACY_VERSION;
-                if let (true, EngineRequest::Query { query }) = (supported, &envelope.body) {
-                    // `strict` selects the dialect for per-entity
-                    // reads: typed NotFound vs the legacy silent
-                    // answers (`strict == false` never errors).
-                    let strict = envelope.version == PROTOCOL_VERSION;
-                    if matches!(query, EngineQuery::OverloadStats) {
-                        // Answered right here from the shared atomics:
-                        // observing overload must neither queue behind
-                        // it nor barrier anything.
-                        let response = ResponseEnvelope {
-                            id: envelope.id,
-                            result: Ok(EngineResponse::OverloadStats {
-                                stats: overload.stats(),
-                            }),
-                        };
-                        if write_frame(&mut writer, framing, &encode_response_envelope(&response))
-                            .is_err()
-                        {
-                            break;
-                        }
-                        continue;
-                    }
-                    if let Some(result) = cache.answer(*query, strict) {
-                        let response = ResponseEnvelope {
-                            id: envelope.id,
-                            result,
-                        };
-                        if write_frame(&mut writer, framing, &encode_response_envelope(&response))
-                            .is_err()
-                        {
-                            break;
-                        }
-                        continue;
-                    }
-                    if matches!(query, EngineQuery::MergedSnapshot) {
-                        // Served from the cache when the views form a
-                        // consistent checkpoint (both dialects answer
-                        // identically); falls through to the barrier
-                        // path while an owner row is still unresolved.
-                        if let Some(snapshot) = cache.merged_snapshot() {
-                            let response = ResponseEnvelope {
-                                id: envelope.id,
-                                result: Ok(snapshot),
-                            };
-                            if write_frame(
-                                &mut writer,
-                                framing,
-                                &encode_response_envelope(&response),
-                            )
-                            .is_err()
-                            {
-                                break;
-                            }
-                            continue;
-                        }
-                    }
+                if legacy {
+                    response.result = Ok(legacy_response(response.result));
                 }
-                // Admission: mutations pass the cap-and-degraded-mode
-                // gate (refusals are typed and immediate); everything
-                // else heading for the queue — the non-cacheable reads
-                // and barrier fallbacks — is always admitted, each
-                // connection contributing at most one queued request.
-                // Unsupported versions skip the gate so the dispatcher
-                // can answer `Unsupported` (the more specific error).
-                if supported && is_mutating(&envelope.body) {
-                    if let Err(refusal) = overload.try_enqueue_mutation() {
-                        let strict = envelope.version == PROTOCOL_VERSION;
-                        let response = ResponseEnvelope {
-                            id: envelope.id,
-                            result: shed_error(strict, refusal),
-                        };
-                        if write_frame(&mut writer, framing, &encode_response_envelope(&response))
-                            .is_err()
-                        {
-                            break;
-                        }
-                        continue;
-                    }
-                } else {
-                    overload.note_enqueued();
-                }
-                ServerMsg::Envelope {
-                    envelope,
-                    received_at: Instant::now(),
-                    reply: reply_tx,
-                }
+                response
             }
+            Err(e) => ResponseEnvelope {
+                id: fallback_seq,
+                result: Err(EngineError::Malformed { detail: e.message }),
+            },
         };
-        if queue.send(msg).is_err() {
-            break;
-        }
-        let Ok(response) = reply_rx.recv() else {
-            break;
-        };
-        if write_frame(&mut writer, framing, &response).is_err() {
+        if write_frame(&mut writer, framing, &encode_response_envelope(&response)).is_err() {
             break;
         }
     }
 }
 
-/// The serial dispatcher: one service, strict arrival order.
-fn serial_dispatch<B: EngineBackend>(
-    mut service: EngineService<B>,
-    queue: Receiver<ServerMsg>,
-    overload: Arc<OverloadState>,
-) -> B {
-    let mut fallback_seq = 0u64;
-    while let Ok(msg) = queue.recv() {
-        match msg {
-            ServerMsg::Request { line, reply } => {
-                overload.note_dequeued();
-                fallback_seq += 1;
-                let envelope = service.handle_line(&line, fallback_seq);
-                let _ = reply.send(encode_response_envelope(&envelope));
-            }
-            // The serial accept loop never produces these — decoded
-            // envelopes and worker completions belong to the sharded
-            // server. Refuse them with a typed error instead of
-            // killing the dispatch thread over a wiring bug.
-            ServerMsg::Envelope {
-                envelope, reply, ..
-            } => {
-                respond(
-                    &reply,
-                    ResponseEnvelope {
-                        id: envelope.id,
-                        result: Err(EngineError::Internal {
-                            detail: "serial dispatcher received a pre-decoded envelope".to_string(),
-                        }),
-                    },
-                );
-            }
-            ServerMsg::Completion {
-                envelope_id, reply, ..
-            } => {
-                respond(
-                    &reply,
-                    ResponseEnvelope {
-                        id: envelope_id,
-                        result: Err(EngineError::Internal {
-                            detail: "serial dispatcher received a worker completion".to_string(),
-                        }),
-                    },
-                );
-            }
-            ServerMsg::Shutdown => break,
+/// Answers one decoded envelope in the strict dialect. Cacheable queries
+/// are answered straight from the cache — the read path shares nothing
+/// with the dispatch queue — and `OverloadStats` straight from the shared
+/// counters; everything else is forwarded to the dispatcher. `None`
+/// means the dispatcher is gone.
+///
+/// This is also the **admission side** of overload control: a mutation
+/// is checked against the [`OverloadState`] *before* it is enqueued, and
+/// at saturation (or in read-only degraded mode) it is refused right
+/// here with a typed [`EngineError::Overloaded`] — nothing enters the
+/// queue, so queue depth is bounded by the policy cap no matter how hard
+/// clients push. Cache-answered reads never touch admission at all,
+/// which is what keeps them flowing while mutations shed.
+fn answer_envelope(
+    envelope: RequestEnvelope,
+    queue: &Sender<ServerMsg>,
+    cache: &QueryCache,
+    overload: &OverloadState,
+) -> Option<ResponseEnvelope> {
+    let id = envelope.id;
+    let supported = envelope.version == PROTOCOL_VERSION || envelope.version == LEGACY_VERSION;
+    if let (true, EngineRequest::Query { query }) = (supported, &envelope.body) {
+        let local = match query {
+            // Observing overload must neither queue behind it nor
+            // barrier anything.
+            EngineQuery::OverloadStats => Some(Ok(EngineResponse::OverloadStats {
+                stats: overload.stats(),
+            })),
+            query => cache.answer(*query),
+        };
+        if let Some(result) = local {
+            return Some(ResponseEnvelope { id, result });
         }
     }
-    service.into_backend()
+    // Admission: mutations pass the cap-and-degraded-mode gate
+    // (refusals are typed and immediate); everything else heading for
+    // the queue — the non-cacheable reads and barrier fallbacks — is
+    // always admitted, each connection contributing at most one queued
+    // request. Unsupported versions skip the gate so the dispatcher can
+    // answer `Unsupported` (the more specific error).
+    if supported && is_mutating(&envelope.body) {
+        if let Err(refusal) = overload.try_enqueue_mutation() {
+            return Some(ResponseEnvelope {
+                id,
+                result: Err(refusal),
+            });
+        }
+    } else {
+        overload.note_enqueued();
+    }
+    let (reply, response) = mpsc::channel();
+    queue
+        .send(ServerMsg::Envelope {
+            envelope,
+            received_at: Instant::now(),
+            reply,
+        })
+        .ok()?;
+    response.recv().ok()
 }
 
 /// Whether a delta routes to a single owning shard (the worker fast
@@ -1582,7 +1425,7 @@ struct ShardDispatcher {
     cache_dirty: bool,
     /// Acks parked while `cache_dirty`; released by `barrier` right
     /// after the wholesale cache refresh.
-    deferred_acks: Vec<(Sender<String>, ResponseEnvelope)>,
+    deferred_acks: Vec<(Sender<ResponseEnvelope>, ResponseEnvelope)>,
 }
 
 impl ShardDispatcher {
@@ -1639,21 +1482,6 @@ impl ShardDispatcher {
                 },
             };
             match msg {
-                // Sharded connections decode envelopes themselves; a
-                // raw line here is a wiring bug. Refuse it (id 0: the
-                // line was never decoded, so no correlation id exists)
-                // without killing the dispatcher.
-                ServerMsg::Request { reply, .. } => {
-                    respond(
-                        &reply,
-                        ResponseEnvelope {
-                            id: 0,
-                            result: Err(EngineError::Internal {
-                                detail: "sharded dispatcher received an undecoded line".to_string(),
-                            }),
-                        },
-                    );
-                }
                 ServerMsg::Envelope {
                     envelope,
                     received_at,
@@ -1691,103 +1519,24 @@ impl ShardDispatcher {
         &mut self,
         envelope: RequestEnvelope,
         received_at: Instant,
-        reply: Sender<String>,
+        reply: Sender<ResponseEnvelope>,
         queue: &Receiver<ServerMsg>,
     ) {
-        // Version-gate BEFORE routing, mirroring `dispatch_envelope`: an
-        // unsupported dialect must never reach the fast path and mutate
-        // state (the serial server answers `Unsupported` and so must we).
-        let strict = envelope.version == PROTOCOL_VERSION;
-        if !strict && envelope.version != LEGACY_VERSION {
+        if let Err(refusal) = self.gate(&envelope, received_at) {
             respond(
                 &reply,
                 ResponseEnvelope {
                     id: envelope.id,
-                    result: Err(EngineError::Unsupported {
-                        version: envelope.version,
-                    }),
+                    result: Err(refusal),
                 },
             );
             return;
-        }
-        // Deadline gate: a budget that expired while the request sat in
-        // the queue drops it before any dead work — before the WAL sees
-        // it, before any shard executes it. (`elapsed >= deadline`, so
-        // a zero budget expires deterministically.)
-        if let Some(deadline_ms) = envelope.deadline_ms {
-            let waited_ms = u64::try_from(received_at.elapsed().as_millis()).unwrap_or(u64::MAX);
-            if waited_ms >= deadline_ms {
-                self.overload.note_deadline_expired();
-                respond(
-                    &reply,
-                    ResponseEnvelope {
-                        id: envelope.id,
-                        result: shed_error(strict, EngineError::DeadlineExceeded { deadline_ms }),
-                    },
-                );
-                return;
-            }
-        }
-        // A mutation that slipped past the connection-side gate before
-        // the read-only latch flipped still must not execute: the gate
-        // is re-checked at the authoritative single-threaded point.
-        if is_mutating(&envelope.body) && self.overload.is_read_only() {
-            respond(
-                &reply,
-                ResponseEnvelope {
-                    id: envelope.id,
-                    result: shed_error(strict, self.overload.shed_now()),
-                },
-            );
-            return;
-        }
-        // Write-ahead: an admitted mutating request hits the log before
-        // it executes and before any ack can go out. Rejections are
-        // logged too — replay reproduces them (and their absence from
-        // the state) deterministically. A failed append refuses the
-        // request (what is not logged must not execute) AND latches
-        // read-only degraded mode: a WAL that failed once cannot vouch
-        // for the next append either, so every subsequent mutation is
-        // shed while cached reads keep answering.
-        if is_mutating(&envelope.body) {
-            // Fault injection: a planned stall sleeps here (ack latency
-            // absorbs it, exactly like a congested disk); a planned
-            // append failure takes the same degraded path as a real one.
-            let forced_fail = self
-                .faults
-                .as_ref()
-                .is_some_and(|f| self.durability.is_some() && f.wal_append_fault());
-            if let Some(controller) = &mut self.durability {
-                let epoch = self.engine.catalog().epoch();
-                let logged = if forced_fail {
-                    Err(io::Error::other("fault injection"))
-                } else {
-                    controller
-                        .log(envelope.id, epoch, &envelope.body)
-                        .map(|_| ())
-                };
-                if let Err(e) = logged {
-                    self.overload.enter_read_only();
-                    respond(
-                        &reply,
-                        ResponseEnvelope {
-                            id: envelope.id,
-                            result: durability_error(
-                                strict,
-                                format!(
-                                    "write-ahead log append failed: {e}; serving is now read-only"
-                                ),
-                            ),
-                        },
-                    );
-                    return;
-                }
-            }
         }
         match &envelope.body {
             // A consistent checkpoint: drain to a barrier, serialize the
             // quiescent engine at the WAL coverage point, compact. The
-            // non-durable server falls through to `dispatch_envelope`,
+            // non-durable server falls through to the barrier arm, whose
+            // `try_dispatch` rejects the request.
             // which rejects the request.
             EngineRequest::Checkpoint if self.durability.is_some() => {
                 self.barrier(queue);
@@ -1799,12 +1548,20 @@ impl ShardDispatcher {
                                 wal_seq: outcome.wal_seq,
                                 bytes: outcome.bytes,
                             }),
-                            Err(e) => durability_error(strict, format!("checkpoint failed: {e}")),
+                            Err(e) => Err(EngineError::Rejected {
+                                reason: RejectReason::Invalid {
+                                    detail: format!("checkpoint failed: {e}"),
+                                },
+                            }),
                         }
                     }
                     // Unreachable (the arm guard checked `is_some`),
                     // but refusing beats panicking the dispatcher.
-                    None => durability_error(strict, "durability is not enabled".to_string()),
+                    None => Err(EngineError::Rejected {
+                        reason: RejectReason::Invalid {
+                            detail: "durability is not enabled".to_string(),
+                        },
+                    }),
                 };
                 self.cache.refresh_all(&self.engine);
                 respond(
@@ -1844,8 +1601,8 @@ impl ShardDispatcher {
                         }
                     }
                 }
-                let response = dispatch_envelope(&mut self.engine, &envelope);
-                if matches!(&response.result, Ok(EngineResponse::Resharded { .. })) {
+                let result = try_dispatch(&mut self.engine, &envelope.body);
+                if matches!(&result, Ok(EngineResponse::Resharded { .. })) {
                     if let Some(controller) = self.durability.as_mut() {
                         let state = self.engine.snapshot_state(controller.last_seq());
                         if let Err(e) = controller.checkpoint(&state) {
@@ -1854,11 +1611,17 @@ impl ShardDispatcher {
                     }
                 }
                 self.cache.refresh_all(&self.engine);
-                respond(&reply, response);
+                respond(
+                    &reply,
+                    ResponseEnvelope {
+                        id: envelope.id,
+                        result,
+                    },
+                );
                 self.resize_workers();
             }
             // Live durability counters, answered right here — no barrier,
-            // no backend dispatch. (The serial service answers the
+            // no backend dispatch. (The in-process service answers the
             // durability-off shape for backends reached directly.)
             EngineRequest::Query {
                 query: EngineQuery::DurabilityStats,
@@ -1918,10 +1681,9 @@ impl ShardDispatcher {
                                         &reply,
                                         ResponseEnvelope {
                                             id: envelope.id,
-                                            result: internal_error(
-                                                strict,
-                                                format!("shard {k} worker is gone"),
-                                            ),
+                                            result: Err(EngineError::Internal {
+                                                detail: format!("shard {k} worker is gone"),
+                                            }),
                                         },
                                     );
                                 }
@@ -1930,18 +1692,11 @@ impl ShardDispatcher {
                     }
                     Err(e) => {
                         self.cache.note_rejected(self.engine.rejected_count());
-                        let result = if strict {
-                            Err(EngineError::from(&e))
-                        } else {
-                            Ok(EngineResponse::Rejected {
-                                reason: e.to_string(),
-                            })
-                        };
                         respond(
                             &reply,
                             ResponseEnvelope {
                                 id: envelope.id,
-                                result,
+                                result: Err(EngineError::from(&e)),
                             },
                         );
                     }
@@ -1956,13 +1711,94 @@ impl ShardDispatcher {
             // batches, rebalances) too.
             _ => {
                 self.barrier(queue);
-                let response = dispatch_envelope(&mut self.engine, &envelope);
+                let result = try_dispatch(&mut self.engine, &envelope.body);
                 self.cache.refresh_all(&self.engine);
-                respond(&reply, response);
+                respond(
+                    &reply,
+                    ResponseEnvelope {
+                        id: envelope.id,
+                        result,
+                    },
+                );
                 self.redistribute();
                 self.maybe_auto_checkpoint(queue);
             }
         }
+    }
+
+    /// The dispatcher's gates, in order: protocol version, deadline, the
+    /// read-only latch, and the write-ahead log. A refusal is the typed
+    /// error the request is answered with; nothing was executed.
+    fn gate(
+        &mut self,
+        envelope: &RequestEnvelope,
+        received_at: Instant,
+    ) -> Result<(), EngineError> {
+        // Version-gate BEFORE routing: an unsupported dialect must never
+        // reach the fast path and mutate state (the in-process service
+        // answers `Unsupported`, and so must we).
+        if envelope.version != PROTOCOL_VERSION && envelope.version != LEGACY_VERSION {
+            return Err(EngineError::Unsupported {
+                version: envelope.version,
+            });
+        }
+        // Deadline gate: a budget that expired while the request sat in
+        // the queue drops it before any dead work — before the WAL sees
+        // it, before any shard executes it. (`elapsed >= deadline`, so
+        // a zero budget expires deterministically.)
+        if let Some(deadline_ms) = envelope.deadline_ms {
+            let waited_ms = u64::try_from(received_at.elapsed().as_millis()).unwrap_or(u64::MAX);
+            if waited_ms >= deadline_ms {
+                self.overload.note_deadline_expired();
+                return Err(EngineError::DeadlineExceeded { deadline_ms });
+            }
+        }
+        if !is_mutating(&envelope.body) {
+            return Ok(());
+        }
+        // A mutation that slipped past the connection-side gate before
+        // the read-only latch flipped still must not execute: the gate
+        // is re-checked at the authoritative single-threaded point.
+        if self.overload.is_read_only() {
+            return Err(self.overload.shed_now());
+        }
+        // Write-ahead: an admitted mutating request hits the log before
+        // it executes and before any ack can go out. Rejections are
+        // logged too — replay reproduces them (and their absence from
+        // the state) deterministically. A failed append refuses the
+        // request (what is not logged must not execute) AND latches
+        // read-only degraded mode: a WAL that failed once cannot vouch
+        // for the next append either, so every subsequent mutation is
+        // shed while cached reads keep answering.
+        //
+        // Fault injection: a planned stall sleeps here (ack latency
+        // absorbs it, exactly like a congested disk); a planned append
+        // failure takes the same degraded path as a real one.
+        let forced_fail = self
+            .faults
+            .as_ref()
+            .is_some_and(|f| self.durability.is_some() && f.wal_append_fault());
+        if let Some(controller) = &mut self.durability {
+            let epoch = self.engine.catalog().epoch();
+            let logged = if forced_fail {
+                Err(io::Error::other("fault injection"))
+            } else {
+                controller
+                    .log(envelope.id, epoch, &envelope.body)
+                    .map(|_| ())
+            };
+            if let Err(e) = logged {
+                self.overload.enter_read_only();
+                return Err(EngineError::Rejected {
+                    reason: RejectReason::Invalid {
+                        detail: format!(
+                            "write-ahead log append failed: {e}; serving is now read-only"
+                        ),
+                    },
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Runs an automatic checkpoint when enough requests were logged
@@ -2047,7 +1883,7 @@ impl ShardDispatcher {
         outcome: ApplyOutcome,
         view: ViewUpdate,
         envelope_id: u64,
-        reply: &Sender<String>,
+        reply: &Sender<ResponseEnvelope>,
     ) {
         let response = self.account_apply(shard, outcome, view, envelope_id);
         if self.cache_dirty {
@@ -2066,7 +1902,7 @@ impl ShardDispatcher {
         outcome: ApplyOutcome,
         view: ViewUpdate,
         envelope_id: u64,
-        reply: Sender<String>,
+        reply: Sender<ResponseEnvelope>,
         queue: &Receiver<ServerMsg>,
     ) {
         let response = self.account_apply(shard, outcome, view, envelope_id);
@@ -2223,51 +2059,9 @@ impl ShardDispatcher {
     }
 }
 
-fn respond(reply: &Sender<String>, envelope: ResponseEnvelope) {
+fn respond(reply: &Sender<ResponseEnvelope>, envelope: ResponseEnvelope) {
     // A dead connection is not the dispatcher's problem.
-    let _ = reply.send(encode_response_envelope(&envelope));
-}
-
-/// A durability-layer failure (WAL append, checkpoint) as a response in
-/// the requested dialect: a typed rejection for envelope clients, the
-/// legacy `Rejected` string for bare ones.
-fn durability_error(strict: bool, detail: String) -> Result<EngineResponse, EngineError> {
-    let reason = crate::error::RejectReason::Invalid { detail };
-    if strict {
-        Err(EngineError::Rejected { reason })
-    } else {
-        Ok(EngineResponse::Rejected {
-            reason: reason.to_string(),
-        })
-    }
-}
-
-/// An infrastructure failure (a dead worker, a dispatch invariant that
-/// broke) as a response in the requested dialect: [`EngineError::Internal`]
-/// for envelope clients, the legacy `Rejected` string for bare ones.
-fn internal_error(strict: bool, detail: String) -> Result<EngineResponse, EngineError> {
-    if strict {
-        Err(EngineError::Internal { detail })
-    } else {
-        Ok(EngineResponse::Rejected {
-            reason: format!("internal error: {detail}"),
-        })
-    }
-}
-
-/// An overload-control refusal ([`EngineError::Overloaded`] /
-/// [`EngineError::DeadlineExceeded`]) in the requested dialect: the
-/// typed error for envelope clients, the legacy `Rejected` string —
-/// carrying the same Display text — for bare ones. Either way the
-/// refusal is a *response*, never a silent drop.
-fn shed_error(strict: bool, err: EngineError) -> Result<EngineResponse, EngineError> {
-    if strict {
-        Err(err)
-    } else {
-        Ok(EngineResponse::Rejected {
-            reason: err.to_string(),
-        })
-    }
+    let _ = reply.send(envelope);
 }
 
 fn spawn_worker(
@@ -2393,7 +2187,8 @@ fn spawn_worker(
 mod tests {
     use super::*;
     use crate::coordinator::ShardedConfig;
-    use crate::engine::{Engine, EngineConfig};
+    use crate::engine::EngineConfig;
+    use crate::service::EngineService;
     use igepa_algos::GreedyArrangement;
     use igepa_core::{
         AttributeVector, ConstantInterest, EventId, HashPartitioner, Instance, NeverConflict,
@@ -2465,43 +2260,49 @@ mod tests {
     }
 
     #[test]
-    fn serial_server_round_trips_requests() {
+    fn malformed_lines_answer_under_the_fallback_id_and_keep_the_connection() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let engine = Engine::new(
-            base_instance(2, 3),
-            Box::new(NeverConflict),
-            Box::new(ConstantInterest(0.5)),
-            Box::new(GreedyArrangement),
-            EngineConfig::default(),
-        );
         let handle =
-            EngineServer::serve(listener, EngineService::new(engine), Framing::Lines).unwrap();
-        let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
+            EngineServer::serve_sharded(listener, sharded_for(2, 4, 2), Framing::Lines).unwrap();
+        let stream = TcpStream::connect(handle.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
 
-        let applied = client.apply(InstanceDelta::AddUser {
-            capacity: 1,
-            attrs: AttributeVector::empty(),
-            bids: vec![EventId::new(0)],
-            interaction: 0.9,
-        });
-        assert!(matches!(applied, Ok(EngineResponse::Applied { .. })));
+        // The connection's first line: fallback id 1.
+        write_frame(&mut writer, Framing::Lines, "not json at all").unwrap();
+        let line = read_frame(&mut reader, Framing::Lines).unwrap().unwrap();
+        let response = decode_response_envelope(&line).unwrap();
+        assert_eq!(response.id, 1);
+        assert!(
+            matches!(response.result, Err(EngineError::Malformed { .. })),
+            "got {:?}",
+            response.result
+        );
 
-        // Typed errors surface client-side.
-        let missing = client.query(EngineQuery::AssignmentsOf {
-            user: UserId::new(99),
-        });
+        // The same connection still serves the next, valid request.
+        let envelope = RequestEnvelope::new(
+            9,
+            PROTOCOL_VERSION,
+            EngineRequest::Query {
+                query: EngineQuery::Utility,
+            },
+        );
+        write_frame(
+            &mut writer,
+            Framing::Lines,
+            &encode_request_envelope(&envelope),
+        )
+        .unwrap();
+        let line = read_frame(&mut reader, Framing::Lines).unwrap().unwrap();
+        let response = decode_response_envelope(&line).unwrap();
+        assert_eq!(response.id, 9);
         assert!(matches!(
-            missing,
-            Err(ClientError::Engine(EngineError::NotFound { .. }))
+            response.result,
+            Ok(EngineResponse::Utility { total, .. }) if total > 0.0
         ));
 
-        let utility = client.query(EngineQuery::Utility).unwrap();
-        assert!(matches!(utility, EngineResponse::Utility { total, .. } if total > 0.0));
-
-        drop(client);
-        let engine = handle.shutdown().unwrap();
-        assert_eq!(engine.instance().num_users(), 4);
-        assert!(engine.arrangement().is_feasible(engine.instance()));
+        drop(writer);
+        handle.shutdown().unwrap();
     }
 
     #[test]

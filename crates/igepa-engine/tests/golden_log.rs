@@ -17,10 +17,14 @@ use igepa_core::{
     AttributeVector, CapacityTarget, ConstantInterest, EventId, HashPartitioner, Instance,
     InstanceDelta, NeverConflict, UserId,
 };
+use igepa_engine::transport::{read_frame, write_frame};
 use igepa_engine::{
-    encode_response, replay, requests_from_jsonl, requests_to_jsonl, Engine, EngineBackend,
-    EngineConfig, EngineQuery, EngineRequest, EngineService, ShardedConfig, ShardedEngine,
+    decode_response_envelope, encode_response, replay, requests_from_jsonl, requests_to_jsonl,
+    Engine, EngineBackend, EngineConfig, EngineQuery, EngineRequest, EngineServer, EngineService,
+    Framing, ShardedConfig, ShardedEngine,
 };
+use std::io::BufReader;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
@@ -238,4 +242,36 @@ fn golden_log_replays_through_the_replay_driver() {
     assert_eq!(driven, golden);
     assert_eq!(outcome.report.rejected, 1);
     assert_eq!(outcome.report.requests, requests.len());
+}
+
+#[test]
+fn golden_log_replays_byte_identically_over_the_wire() {
+    // The legacy dialect end to end: a pre-envelope client sends the
+    // checked-in log as bare lines to the TCP server, and each response
+    // envelope's `result`, re-encoded in the pre-envelope format, must
+    // reproduce the golden response log byte for byte.
+    let log = std::fs::read_to_string(golden_dir().join("pre_envelope_requests.jsonl")).unwrap();
+    let golden =
+        std::fs::read_to_string(golden_dir().join("pre_envelope_responses.jsonl")).unwrap();
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let handle = EngineServer::serve_sharded(listener, sharded_one(), Framing::Lines).unwrap();
+    let stream = TcpStream::connect(handle.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut served = String::new();
+    for line in log.lines().filter(|line| !line.trim().is_empty()) {
+        write_frame(&mut writer, Framing::Lines, line).unwrap();
+        let reply = read_frame(&mut reader, Framing::Lines).unwrap().unwrap();
+        let envelope = decode_response_envelope(&reply).unwrap();
+        let response = envelope
+            .result
+            .unwrap_or_else(|e| panic!("legacy request {line} answered a typed error: {e}"));
+        served.push_str(&encode_response(&response));
+        served.push('\n');
+    }
+    assert_eq!(served, golden, "wire responses drifted from the golden log");
+
+    drop(writer);
+    handle.shutdown().unwrap();
 }

@@ -31,7 +31,6 @@
 
 pub mod centrality;
 pub mod community;
-pub mod components;
 pub mod generators;
 pub mod graph;
 pub mod interaction;
@@ -43,7 +42,6 @@ pub use centrality::{
     eigenvector_centrality, pagerank, PageRankConfig,
 };
 pub use community::{greedy_modularity, label_propagation, modularity, Partition};
-pub use components::DisjointSets;
 pub use generators::{
     barabasi_albert, erdos_renyi, from_group_memberships, random_edges, watts_strogatz,
 };
